@@ -7,23 +7,15 @@ invalid distribution file), 2 on usage errors or unreadable inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .constants import DEFAULT_CONSTANTS
 from .distances import dist_to_support_m, emd, tv
-from .generators import (
-    coordinate_noise_dist,
-    inside_outside_mixture,
-    iso_copies_dist,
-    perturb_dist,
-    shift_dist,
-    uniform_random_subset,
-)
 from .harness import (
     ExperimentSpec,
     GENERATORS,
-    TESTERS,
     build_source,
     calibrate_tester,
     load_distribution,
@@ -89,12 +81,8 @@ def _emit(text: str, out_path) -> None:
 def _cmd_run(args) -> int:
     with open(args.spec) as fh:
         spec = ExperimentSpec.from_json(fh.read())
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.trials is not None:
-        spec.trials = args.trials
-    if args.workers is not None:
-        spec.workers = args.workers
+    overrides = {"seed": args.seed, "trials": args.trials, "workers": args.workers}
+    spec = dataclasses.replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     report = run_experiment(spec, DEFAULT_CONSTANTS)
     if args.format == "csv":
         _emit(report.to_csv_text(), args.out)
@@ -105,7 +93,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     with open(args.suite) as fh:
-        cases = [ExperimentSpec.from_dict(c) for c in json.load(fh)["cases"]]
+        suite = json.load(fh)
+    if not isinstance(suite, dict) or not isinstance(suite.get("cases"), list):
+        raise ValueError("a calibration suite must be a JSON object with a 'cases' list")
+    cases = [ExperimentSpec.from_dict(c) for c in suite["cases"]]
     result = calibrate_tester(
         args.tester,
         cases,
@@ -143,8 +134,6 @@ def _cmd_gen(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         dist = load_distribution(args.file)
-    except FileNotFoundError:
-        raise
     except (ValueError, IndexError) as exc:
         print(f"invalid: {exc}")
         return 1

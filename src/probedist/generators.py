@@ -138,11 +138,18 @@ def shift_dist(x, law=None) -> FiniteDistribution:
 
 
 def _binomial_tail_above(n: int, rate: float, radius: int) -> float:
-    """Pr[Binomial(n, rate) > radius], exactly (up to float rounding)."""
-    total = 0.0
-    for d in range(radius + 1):
-        total += math.comb(n, d) * rate**d * (1.0 - rate) ** (n - d)
-    return max(0.0, 1.0 - total)
+    """Pr[Binomial(n, rate) > radius] for 0 < rate < 1, up to float rounding.
+
+    The point masses are formed in log space and scaled by the largest one
+    before summing, so no binomial coefficient overflows at any n.
+    """
+    log_p, log_q, log_nf = math.log(rate), math.log1p(-rate), math.lgamma(n + 1)
+    logs = [
+        log_nf - math.lgamma(d + 1) - math.lgamma(n - d + 1) + d * log_p + (n - d) * log_q
+        for d in range(radius + 1)
+    ]
+    top = max(logs)
+    return max(0.0, 1.0 - math.exp(top) * math.fsum(math.exp(v - top) for v in logs))
 
 
 def perturb_dist(

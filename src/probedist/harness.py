@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from . import testers
 from .constants import DEFAULT_CONSTANTS, Constants
 from .core import BilledOracle, FiniteDistribution, TesterReport, new_rng
 from .generators import (
@@ -38,20 +40,6 @@ from .generators import (
 )
 from .std_testers import GrainedInner, SupportInner
 from .strings import ConstantTester, LinearityTester, hadamard_property
-from .testers import (
-    cyclic_shift_tester,
-    graph_copies_tester,
-    grained_tester,
-    membership_tester,
-    noisy_membership_tester,
-    pair_equality_tester,
-    perturbation_tester,
-    projection_tester,
-    self_correcting_tester,
-    shift_law_tester,
-    support_tester,
-    uniformity_tester,
-)
 
 __all__ = [
     "ExperimentSpec",
@@ -61,13 +49,14 @@ __all__ = [
     "wilson_interval",
     "calibrate_constant",
     "calibrate_tester",
-    "TESTER_CONSTANTS",
     "CalibrationResult",
     "build_source",
     "build_tester",
     "save_distribution",
     "load_distribution",
     "TESTERS",
+    "TesterEntry",
+    "REQUIRED",
     "GENERATORS",
 ]
 
@@ -151,6 +140,8 @@ GENERATORS = {
 
 def build_source(spec: dict, seed):
     """Build one instance from {"kind": ..., "params": {...}}."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValueError("a source must be an object with a 'kind'")
     kind = spec["kind"]
     if kind not in GENERATORS:
         raise ValueError(f"unknown generator kind {kind!r}")
@@ -160,149 +151,106 @@ def build_source(spec: dict, seed):
 # ---------------------------------------------------------------------------
 # testers reachable from specs
 
+REQUIRED = object()  # marks a spec param that has no default
 
-def _t_support(oracle, params, constants, seed):
-    return support_tester(
-        oracle, m=int(params["m"]), eps=float(params["eps"]), seed=seed, constants=constants
-    )
-
-
-def _t_grained(oracle, params, constants, seed):
-    return grained_tester(
-        oracle, m=int(params["m"]), eps=float(params["eps"]), seed=seed, constants=constants
-    )
+_STRING_PROPERTIES = {"linearity": LinearityTester, "constant": ConstantTester}
+_INNER_RULES = {"support": SupportInner, "grained": GrainedInner}
 
 
-def _t_uniformity(oracle, params, constants, seed):
-    return uniformity_tester(
-        oracle, m=int(params["m"]), eps=float(params["eps"]), seed=seed, constants=constants
-    )
+def _lookup(table: dict, key: str, what: str):
+    if key not in table:
+        raise ValueError(f"unknown {what} {key!r}")
+    return table[key]
 
 
-def _t_pair_equality(oracle, params, constants, seed):
-    return pair_equality_tester(
-        oracle,
-        m=int(params["m"]),
-        eps=float(params["eps"]),
-        seed=seed,
-        constants=constants,
-        both_bounded=bool(params.get("both_bounded", True)),
-    )
+@dataclass(frozen=True)
+class TesterEntry:
+    """One registered tester: a function of ``probedist.testers``, its spec
+    params as name -> (type, default or REQUIRED), and the constants that
+    ``calibrate_tester`` searches.
+
+    Calling the entry runs one trial.  It rejects an unknown or missing spec
+    param with a ValueError naming it, converts each param to its type, and
+    resolves the composite ones: ``property`` names a string tester,
+    ``inner`` (with ``m``) an inner decision rule, ``k`` the Hadamard
+    property.  The function is named rather than held, so every call looks
+    it up in ``probedist.testers``, as a direct call would, and a patch of
+    that module attribute (a tracer's, a test's) reaches it.
+    """
+
+    function: str
+    params: dict
+    constants: tuple
+
+    def __call__(self, oracle, params, constants, seed) -> TesterReport:
+        unknown = sorted(set(params) - set(self.params))
+        if unknown:
+            raise ValueError(
+                f"unknown tester param {unknown[0]!r} (expected {', '.join(self.params)})"
+            )
+        kw = {}
+        for name, (kind, default) in self.params.items():
+            if name not in params:
+                if default is REQUIRED:
+                    raise ValueError(f"missing tester param {name!r}")
+                kw[name] = default
+                continue
+            try:
+                if kind is bool and not isinstance(params[name], bool):
+                    raise TypeError  # bool("false") would be True
+                kw[name] = kind(params[name])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"tester param {name!r} must be {kind.__name__}, got {params[name]!r}"
+                ) from None
+        if "property" in kw:
+            maker = _lookup(_STRING_PROPERTIES, kw.pop("property"), "string property")
+            kw["string_tester"] = maker()
+        if "inner" in kw:
+            rule = _lookup(_INNER_RULES, kw["inner"], "inner decision rule")
+            kw["inner"] = rule(m=kw.pop("m"), constants=constants)
+        if "k" in kw:
+            kw["prop"] = hadamard_property(kw.pop("k"))
+        return getattr(testers, self.function)(oracle, seed=seed, constants=constants, **kw)
 
 
-def _t_perturbation(oracle, params, constants, seed):
-    return perturbation_tester(
-        oracle,
-        eta=float(params["eta"]),
-        delta=float(params["delta"]),
-        eps=float(params["eps"]),
-        seed=seed,
-        constants=constants,
-    )
-
-
-def _t_rotation_family(oracle, params, constants, seed):
-    return cyclic_shift_tester(
-        oracle,
-        eps=float(params["eps"]),
-        seed=seed,
-        constants=constants,
-        mode=params.get("mode", "plain"),
-    )
-
-
-def _t_rotation_law(oracle, params, constants, seed):
-    return shift_law_tester(
-        oracle, law=params["law"], eps=float(params["eps"]), seed=seed, constants=constants
-    )
-
-
-def _t_graph_copies(oracle, params, constants, seed):
-    return graph_copies_tester(
-        oracle, eps=float(params["eps"]), seed=seed, constants=constants
-    )
-
-
-_STRING_TESTERS = {
-    "linearity": lambda params: LinearityTester(),
-    "constant": lambda params: ConstantTester(),
-}
-
-
-def _t_membership(oracle, params, constants, seed):
-    maker = _STRING_TESTERS.get(params.get("property", "linearity"))
-    if maker is None:
-        raise ValueError(f"unknown string property {params.get('property')!r}")
-    return membership_tester(
-        oracle,
-        string_tester=maker(params),
-        eps=float(params["eps"]),
-        seed=seed,
-        constants=constants,
-        mode=params.get("mode", "plain"),
-    )
-
-
-def _t_noisy_membership(oracle, params, constants, seed):
-    maker = _STRING_TESTERS.get(params.get("property", "constant"))
-    if maker is None:
-        raise ValueError(f"unknown string property {params.get('property')!r}")
-    return noisy_membership_tester(
-        oracle,
-        string_tester=maker(params),
-        eta=float(params["eta"]),
-        delta=float(params["delta"]),
-        eps=float(params["eps"]),
-        seed=seed,
-        constants=constants,
-    )
-
-
-def _make_inner(params, constants):
-    kind = params.get("inner", "support")
-    m = int(params["m"])
-    if kind == "support":
-        return SupportInner(m=m, constants=constants)
-    if kind == "grained":
-        return GrainedInner(m=m, constants=constants)
-    raise ValueError(f"unknown inner decision rule {kind!r}")
-
-
-def _t_projected(oracle, params, constants, seed):
-    return projection_tester(
-        oracle,
-        inner=_make_inner(params, constants),
-        eps=float(params["eps"]),
-        seed=seed,
-        constants=constants,
-    )
-
-
-def _t_self_correcting(oracle, params, constants, seed):
-    k = int(params["k"])
-    return self_correcting_tester(
-        oracle,
-        prop=hadamard_property(k),
-        inner=_make_inner(params, constants),
-        eps=float(params["eps"]),
-        seed=seed,
-        constants=constants,
-    )
-
+_M = {"m": (int, REQUIRED)}
+_EPS = {"eps": (float, REQUIRED)}
+_NOISE = {"eta": (float, REQUIRED), "delta": (float, REQUIRED)}
 
 TESTERS = {
-    "support": _t_support,
-    "grained": _t_grained,
-    "uniformity": _t_uniformity,
-    "pair-equality": _t_pair_equality,
-    "perturbation": _t_perturbation,
-    "rotation-family": _t_rotation_family,
-    "rotation-law": _t_rotation_law,
-    "graph-copies": _t_graph_copies,
-    "membership": _t_membership,
-    "noisy-membership": _t_noisy_membership,
-    "projected": _t_projected,
-    "self-correcting-hadamard": _t_self_correcting,
+    "support": TesterEntry("support_tester", {**_M, **_EPS}, ("support_samples",)),
+    "grained": TesterEntry("grained_tester", {**_M, **_EPS}, ("grained_phase2",)),
+    "uniformity": TesterEntry("uniformity_tester", {**_M, **_EPS}, ("grained_phase2",)),
+    "pair-equality": TesterEntry(
+        "pair_equality_tester", {**_M, **_EPS, "both_bounded": (bool, True)}, ("equality_mean",)
+    ),
+    "perturbation": TesterEntry("perturbation_tester", {**_NOISE, **_EPS}, ("perturb_positions",)),
+    "rotation-family": TesterEntry(
+        "cyclic_shift_tester", {**_EPS, "mode": (str, "plain")}, ("shift_count", "offset_count")
+    ),
+    "rotation-law": TesterEntry(
+        "shift_law_tester", {"law": (list, REQUIRED), **_EPS}, ("equality_mean",)
+    ),
+    "graph-copies": TesterEntry("graph_copies_tester", _EPS, ("ideal_samples",)),
+    "membership": TesterEntry(
+        "membership_tester",
+        {"property": (str, "linearity"), **_EPS, "mode": (str, "plain")},
+        ("membership_samples",),
+    ),
+    "noisy-membership": TesterEntry(
+        "noisy_membership_tester",
+        {"property": (str, "constant"), **_NOISE, **_EPS},
+        ("noisy_majority",),
+    ),
+    "projected": TesterEntry(
+        "projection_tester", {"inner": (str, "support"), **_M, **_EPS}, ("lift_positions",)
+    ),
+    "self-correcting-hadamard": TesterEntry(
+        "self_correcting_tester",
+        {"k": (int, REQUIRED), "inner": (str, "support"), **_M, **_EPS},
+        ("correction_positions",),
+    ),
 }
 
 
@@ -332,10 +280,18 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.tester not in TESTERS:
             raise ValueError(f"unknown tester {self.tester!r}")
-        if not 1 <= len(self.sources) <= 2:
+        if not isinstance(self.tester_params, dict):
+            raise ValueError("tester_params must be an object")
+        for key in ("trials", "seed", "workers"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer")
+        if not isinstance(self.sources, (list, tuple)) or not 1 <= len(self.sources) <= 2:
             raise ValueError("need one or two sources")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.workers < 1:
+            raise ValueError("workers must be positive")
         if self.expectation not in (None, "accept", "reject"):
             raise ValueError("expectation must be accept, reject, or omitted")
 
@@ -344,6 +300,15 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
+        if not isinstance(data, dict):
+            raise ValueError("an experiment spec must be a JSON object")
+        keys = {f.name: f.default is MISSING for f in fields(cls)}
+        unknown = sorted(set(data) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown spec key {unknown[0]!r}")
+        missing = [key for key, required in keys.items() if required and key not in data]
+        if missing:
+            raise ValueError(f"missing spec key {missing[0]!r}")
         return cls(**data)
 
     def to_json(self) -> str:
@@ -581,24 +546,6 @@ def calibrate_constant(
     raise RuntimeError(f"calibrated value of {name} failed confirmation")
 
 
-# constants worth searching per tester; the rest are shared plumbing whose
-# defaults the suites exercise implicitly
-TESTER_CONSTANTS = {
-    "support": ["support_samples"],
-    "grained": ["grained_phase2"],
-    "uniformity": ["grained_phase2"],
-    "pair-equality": ["equality_mean"],
-    "perturbation": ["perturb_positions"],
-    "rotation-family": ["shift_count", "offset_count"],
-    "rotation-law": ["equality_mean"],
-    "graph-copies": ["ideal_samples"],
-    "membership": ["membership_samples"],
-    "noisy-membership": ["noisy_majority"],
-    "projected": ["lift_positions"],
-    "self-correcting-hadamard": ["correction_positions"],
-}
-
-
 def calibrate_tester(
     tester: str,
     suite,
@@ -613,9 +560,7 @@ def calibrate_tester(
     Each constant is searched with the previously calibrated ones already
     substituted.  Returns {"tester", "constants", "results", "suite_hash"}.
     """
-    if tester not in TESTER_CONSTANTS:
-        raise ValueError(f"unknown tester {tester!r}")
-    names = TESTER_CONSTANTS[tester] if only is None else [only]
+    names = build_tester(tester).constants if only is None else [only]
     current = constants
     results = []
     for name in names:

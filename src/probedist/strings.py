@@ -46,14 +46,23 @@ class StringTester(Protocol):
 
 @runtime_checkable
 class SelfCorrector(Protocol):
-    """Recovers one bit of the property member nearest to the sample."""
+    """Recovers bits of the property member nearest to each sample."""
 
     queries_per_call: int
 
-    def correct(
-        self, view: SampleView, position: int, rng: np.random.Generator
-    ) -> Optional[int]:
-        ...
+    def correct_batch(
+        self,
+        oracle: BilledOracle,
+        batch: SampleBatch,
+        positions: np.ndarray,
+        rng: np.random.Generator,
+        repeats: int,
+    ) -> np.ndarray:
+        """Amplified correction of every (sample, position) pair; -1 = undecided.
+
+        ``positions`` is one shared 1-d list or one row per sample.  Each
+        pair gets ``repeats`` calls of ``queries_per_call`` queries.
+        """
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ at least 2/3.  Testers documented as one-sided accept members always.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -164,10 +165,7 @@ def grained_tester(
     if m < 1:
         raise ValueError("m must be at least 1")
     rep = projection_tester(oracle, GrainedInner(m, constants), eps, seed, constants)
-    trace = dict(rep.trace)
-    trace["tester"] = "grained"
-    trace["params"] = {"m": m, "eps": eps}
-    return TesterReport(rep.verdict, rep.samples_used, rep.queries_used, trace)
+    return replace(rep, trace={**rep.trace, "tester": "grained", "params": {"m": m, "eps": eps}})
 
 
 def uniformity_tester(
@@ -196,11 +194,8 @@ def uniformity_tester(
     cutoff = 2.0 * math.ceil(math.log2(m)) / n
     if eps > cutoff:
         rep = grained_tester(oracle, m, eps / 2.0, seed, constants)
-        trace = dict(rep.trace)
-        trace["tester"] = "uniform-over-m"
-        trace["params"] = {"m": m, "eps": eps}
-        trace["branch"] = "grained"
-        return TesterReport(rep.verdict, rep.samples_used, rep.queries_used, trace)
+        trace = {"tester": "uniform-over-m", "params": {"m": m, "eps": eps}, "branch": "grained"}
+        return replace(rep, trace={**rep.trace, **trace})
     s = math.ceil(constants.uniform_full_read * m * _ln1p(m) / eps**2)
     batch = oracle.draw(s)
     values = pack_rows(oracle.query_block(batch, np.arange(1, n + 1)))
@@ -324,27 +319,6 @@ def membership_tester(
 # self-correction: collision testing of mildly corrupted property members
 
 
-def _correct_positions(oracle, batch, corrector, positions, rng, repeats) -> np.ndarray:
-    """Amplified correction of every (sample, position) pair; -1 = undecided.
-
-    ``positions`` is one shared 1-d list or one row per sample.
-    """
-    pos = np.asarray(positions, dtype=np.int64)
-    if hasattr(corrector, "correct_batch"):
-        return corrector.correct_batch(oracle, batch, pos, rng, repeats)
-    if pos.ndim == 1:
-        pos = np.broadcast_to(pos, (len(batch), pos.size))
-    out = np.empty(pos.shape, dtype=np.int8)
-    for i, handle in enumerate(batch):
-        view = SampleView(oracle, handle)
-        for j in range(pos.shape[1]):
-            votes = [corrector.correct(view, int(pos[i, j]), rng) for _ in range(repeats)]
-            ones = sum(1 for v in votes if v == 1)
-            zeros = sum(1 for v in votes if v == 0)
-            out[i, j] = 1 if 2 * ones > repeats else (0 if 2 * zeros > repeats else -1)
-    return out
-
-
 def self_correcting_tester(
     oracle: BilledOracle,
     prop,
@@ -424,7 +398,7 @@ def self_correcting_tester(
         return finish_report(oracle, False, trace)
     spots = np.stack([random_subset(rng, n, k1) for _ in range(t1)])
     direct = oracle.query_block(screen, spots)
-    corrected = _correct_positions(oracle, screen, prop.corrector, spots, rng, r1_amp)
+    corrected = prop.corrector.correct_batch(oracle, screen, spots, rng, r1_amp)
     if (corrected < 0).any() or (corrected != direct).any():
         trace["reject_stage"] = "screen-correction"
         return finish_report(oracle, False, trace)
@@ -437,7 +411,7 @@ def self_correcting_tester(
         trace["rejected_samples"] = int(judged.sum())
         return finish_report(oracle, False, trace)
     positions = random_subset(rng, n, ell)
-    values = _correct_positions(oracle, batch, prop.corrector, positions, rng, r3_amp)
+    values = prop.corrector.correct_batch(oracle, batch, positions, rng, r3_amp)
     undecided = int((values < 0).sum())
     if undecided:
         trace["reject_stage"] = "undecided-correction"

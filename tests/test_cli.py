@@ -124,6 +124,33 @@ class TestRunCommand:
         assert rc == 2
         assert "unknown tester" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, extra, message",
+        [
+            (_spec_dict(color="red"), [], "unknown spec key 'color'"),
+            ([_spec_dict()], [], "must be a JSON object"),
+            (_spec_dict(), ["--workers", "0"], "workers must be positive"),
+            (_spec_dict(), ["--trials", "0"], "trials must be positive"),
+            (_spec_dict(trials="5"), [], "trials must be an integer"),
+            (_spec_dict(sources={"kind": "point", "params": {"x": "01"}}), [],
+             "need one or two sources"),
+            (_spec_dict(sources=["point"]), [], "a source must be an object"),
+            (_spec_dict(tester_params={"m": 2, "eps": 0.5, "epz": 1}), [],
+             "unknown tester param 'epz'"),
+            (_spec_dict(tester_params={"eps": 0.5}), [], "missing tester param 'm'"),
+        ],
+        ids=["unknown-key", "list-spec", "workers-0", "trials-0", "trials-string",
+             "sources-object", "source-string", "unknown-param", "missing-param"],
+    )
+    def test_bad_spec_is_a_usage_error(self, tmp_path, capsys, spec, extra, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        rc = cli.main(["run", str(spec_path), *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestCalibrateCommand:
     def test_calibrate_support_smoke(self, tmp_path):
@@ -157,3 +184,10 @@ class TestCalibrateCommand:
         rc = cli.main(["calibrate", "nonsense", str(suite_path)])
         assert rc == 2
         assert "unknown tester" in capsys.readouterr().err
+
+    def test_calibrate_malformed_suite(self, tmp_path, capsys):
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps([_spec_dict()]))
+        rc = cli.main(["calibrate", "support", str(suite_path)])
+        assert rc == 2
+        assert "'cases' list" in capsys.readouterr().err

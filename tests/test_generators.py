@@ -1,5 +1,7 @@
 """Tests for the fixture generators and linear-code utilities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from probedist.core import FiniteDistribution, ImplicitDistribution, new_rng, pa
 from probedist.distances import dist_to_support_m, emd, tv
 from probedist.generators import (
     LinearCode,
+    _binomial_tail_above,
     code_lift,
     coordinate_noise_dist,
     hadamard_code,
@@ -164,6 +167,28 @@ class TestPerturbDist:
     def test_rate_above_eta_rejected(self):
         with pytest.raises(ValueError):
             perturb_dist("0000", eta=0.1, delta=0.5, rate=0.2)
+
+    def test_long_strings_build_without_overflow(self):
+        p = perturb_dist("0" * 3000, eta=0.1, delta=0.2)
+        assert isinstance(p, ImplicitDistribution)
+        assert p.metadata["radius"] == 600
+        assert 0.0 <= p.metadata["truncation_mass"] < 1e-9
+        rows = p.draw_rows(new_rng(2), 20)
+        assert int(rows.sum(axis=1).max()) <= 600
+        with pytest.raises(ValueError, match="infeasible"):
+            perturb_dist("0" * 3000, eta=0.1, delta=0.05)
+
+    def test_tail_matches_direct_sum_for_short_strings(self):
+        def direct(n, rate, radius):
+            total = sum(math.comb(n, d) * rate**d * (1.0 - rate) ** (n - d)
+                        for d in range(radius + 1))
+            return max(0.0, 1.0 - total)
+
+        for n in (1, 7, 30, 64, 101, 200):
+            for rate in (1e-6, 0.01, 0.1, 0.3, 0.49):
+                for radius in sorted({0, n // 10, n // 4, n // 2, n}):
+                    got = _binomial_tail_above(n, rate, radius)
+                    assert got == pytest.approx(direct(n, rate, radius), abs=1e-12)
 
 
 class TestCoordinateNoise:

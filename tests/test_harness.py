@@ -1,6 +1,7 @@
 """Tests for the experiment harness: specs, runs, reports, calibration,
 and distribution file I/O."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -11,6 +12,8 @@ from probedist.constants import DEFAULT_CONSTANTS, Constants
 from probedist.core import FiniteDistribution
 from probedist.generators import coordinate_noise_dist, uniform_random_subset
 from probedist.harness import (
+    REQUIRED,
+    TESTERS,
     CalibrationResult,
     ExperimentSpec,
     build_source,
@@ -91,10 +94,73 @@ class TestExperimentSpec:
             _support_spec(trials=0)
         with pytest.raises(ValueError):
             _support_spec(expectation="maybe")
+        with pytest.raises(ValueError, match="workers"):
+            _support_spec(workers=0)
+        with pytest.raises(ValueError, match="tester_params"):
+            _support_spec(tester_params=[2, 0.5])
+
+    def test_from_dict_rejects_bad_shapes(self):
+        data = _support_spec().to_dict()
+        with pytest.raises(ValueError, match="unknown spec key 'color'"):
+            ExperimentSpec.from_dict({**data, "color": "red"})
+        del data["sources"]
+        with pytest.raises(ValueError, match="missing spec key 'sources'"):
+            ExperimentSpec.from_dict(data)
+        with pytest.raises(ValueError, match="JSON object"):
+            ExperimentSpec.from_json("[1, 2]")
 
     def test_unknown_generator_kind(self):
         with pytest.raises(ValueError, match="unknown generator"):
             build_source({"kind": "nonsense", "params": {}}, seed=0)
+
+
+class TestTesterRegistry:
+    # Param checks run before the oracle is touched, so no oracle is needed.
+    @pytest.mark.parametrize("tester", sorted(TESTERS))
+    def test_rejects_unknown_and_missing_params(self, tester):
+        entry = TESTERS[tester]
+        params = FIXED_SPECS[tester][0]
+        with pytest.raises(ValueError, match="unknown tester param 'bogus'"):
+            entry(None, {**params, "bogus": 1}, DEFAULT_CONSTANTS, 0)
+        required = [p for p, (_, default) in entry.params.items() if default is REQUIRED]
+        assert required
+        for name in required:
+            rest = {k: v for k, v in params.items() if k != name}
+            with pytest.raises(ValueError, match=f"missing tester param '{name}'"):
+                entry(None, rest, DEFAULT_CONSTANTS, 0)
+
+    def test_rejects_unconvertible_values(self):
+        with pytest.raises(ValueError, match="tester param 'm' must be int"):
+            TESTERS["support"](None, {"m": "two", "eps": 0.5}, DEFAULT_CONSTANTS, 0)
+        with pytest.raises(ValueError, match="tester param 'eps' must be float"):
+            TESTERS["support"](None, {"m": 2, "eps": None}, DEFAULT_CONSTANTS, 0)
+        with pytest.raises(ValueError, match="tester param 'both_bounded' must be bool"):
+            TESTERS["pair-equality"](None, {"m": 2, "eps": 0.5, "both_bounded": "false"},
+                                     DEFAULT_CONSTANTS, 0)
+
+    def test_composite_params_reject_unknown_names(self):
+        with pytest.raises(ValueError, match="unknown string property 'nope'"):
+            TESTERS["membership"](None, {"property": "nope", "eps": 0.5}, DEFAULT_CONSTANTS, 0)
+        with pytest.raises(ValueError, match="unknown inner decision rule 'nope'"):
+            TESTERS["projected"](None, {"inner": "nope", "m": 2, "eps": 0.5},
+                                 DEFAULT_CONSTANTS, 0)
+
+    def test_searchable_constants_are_constants(self):
+        known = set(DEFAULT_CONSTANTS.to_dict())
+        for entry in TESTERS.values():
+            assert entry.constants and set(entry.constants) <= known
+
+    def test_readme_table_matches_registry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for name, entry in TESTERS.items():
+            required = [f"`{p}` {kind.__name__}"
+                        for p, (kind, default) in entry.params.items() if default is REQUIRED]
+            optional = [f"`{p}` {kind.__name__} = `{json.dumps(default)}`"
+                        for p, (kind, default) in entry.params.items()
+                        if default is not REQUIRED]
+            found = ", ".join(f"`{c}`" for c in entry.constants)
+            row = f"| `{name}` | {', '.join(required)} | {', '.join(optional)} | {found} |"
+            assert row in readme, f"README tester table is out of date for {name}"
 
 
 class TestRunExperiment:
@@ -154,6 +220,66 @@ class TestRunExperiment:
         rep = run_experiment(spec)
         assert all(len(r.samples) == 2 for r in rep.records)
         assert rep.success_rate is None
+
+
+# One small fixed spec per registered tester, and the sha256 of its
+# run_experiment JSON (json.dumps(report.to_json_dict(), indent=2)).  The
+# harness seed discipline makes those bytes a pure function of the spec, so
+# a refactor of the tester registry or the testers must leave them unchanged;
+# a stream that changes on purpose needs its digest re-recorded here.
+_S16 = {"kind": "uniform-strings",
+        "params": {"strings": ["0011001100110011", "1100110011001100"]}}
+_X16 = "0110100110010110"
+_HADAMARD = {"kind": "hadamard-codewords", "params": {"k": 4, "messages": ["0001", "0110"]}}
+_PATH4 = [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
+_SUBSET = {"kind": "uniform-random-subset", "params": {"n": 32, "m": 4, "min_distance": 0.3}}
+
+FIXED_SPECS = {
+    "support": ({"m": 2, "eps": 0.5}, [_S16],
+                "989fb129342009bd35cede1063749aa5dc228743d8b81f3923f89c6d9483701c"),
+    "grained": ({"m": 2, "eps": 0.5}, [_S16],
+                "ed88e32231830a6f1bb33352f53fda1f174875c74d488f7a772d391487de5b80"),
+    "uniformity": ({"m": 2, "eps": 0.5}, [_S16],
+                   "0bd3d9925df1c1c48aa30f154a0b95b913ea7b42b0d72b566238faecd613e271"),
+    "pair-equality": ({"m": 4, "eps": 0.5}, [_SUBSET, _SUBSET],
+                      "d2303a04be8e7224f884b51179872b84e25f7450608fc20f40f30116c8838cb8"),
+    "perturbation": ({"eta": 0.1, "delta": 0.3, "eps": 0.5},
+                     [{"kind": "perturbation",
+                       "params": {"x": "0" * 32, "eta": 0.1, "delta": 0.3}}],
+                     "730c0cfbb2418b42f1a391667950b102d476142e2532fa2bcfd0ae15c4b754f9"),
+    "rotation-family": ({"eps": 0.5, "mode": "staged"},
+                        [{"kind": "rotations", "params": {"x": _X16}}],
+                        "845c73882b7b20feb2cc17893524fa146af1b01715fc8fd66d903a9411e3ba67"),
+    "rotation-law": ({"law": [1 / 16] * 16, "eps": 0.5},
+                     [{"kind": "rotations", "params": {"x": _X16}}],
+                     "c2c1124af825c7ca9d7fd0646cc8c5d1d9bbb949387a6e419f3530257f31f6e3"),
+    "graph-copies": ({"eps": 0.5}, [{"kind": "graph-copies", "params": {"adjacency": _PATH4}}],
+                     "6feb0ce06a6a4656b06fa3a22ecdd56723e77db34d1833cf6d44fcad4f4ef5d1"),
+    "membership": ({"eps": 0.5, "mode": "staged"}, [_HADAMARD],
+                   "0a688f1006d826e8dd5f6ca1df4bcb99f5064b1b5c5a72d6c20f6e72495c9268"),
+    "noisy-membership": ({"eta": 0.1, "delta": 0.3, "eps": 0.5},
+                         [{"kind": "coordinate-noise",
+                           "params": {"x": "0" * 32, "flip_probs": [0.05] * 32}}],
+                         "ff935a67b9e3249ea860260c0bf4495557824d1ac9a11b796056e009c9ce132a"),
+    "projected": ({"inner": "grained", "m": 2, "eps": 0.5}, [_S16],
+                  "e03dc814155f40d1cb0d60ad379e315020a28f23cf4f46f4db36556d11959f4f"),
+    "self-correcting-hadamard": ({"k": 4, "m": 2, "eps": 0.5}, [_HADAMARD],
+                                 "72f6082364db3e78adb6330ec8c7e4454f69817543e9c30ec67a61a9f601bcdd"),
+}
+
+
+class TestFixedSpecReports:
+    def test_covers_every_registered_tester(self):
+        assert set(FIXED_SPECS) == set(TESTERS)
+
+    @pytest.mark.parametrize("tester", sorted(FIXED_SPECS))
+    def test_report_bytes_unchanged(self, tester):
+        params, sources, digest = FIXED_SPECS[tester]
+        spec = ExperimentSpec(name=f"fixed-{tester}", tester=tester, tester_params=params,
+                              sources=sources, trials=4, seed=5)
+        text = json.dumps(run_experiment(spec).to_json_dict(), indent=2)
+        got = hashlib.sha256(text.encode()).hexdigest()
+        assert got == digest, f"{tester}: run_experiment JSON changed"
 
 
 def _calibration_suite():

@@ -19,7 +19,7 @@ from probedist.strings import (
     LinearityTester,
     hadamard_property,
 )
-from probedist.testers import _correct_positions, membership_tester, self_correcting_tester
+from probedist.testers import membership_tester, self_correcting_tester
 
 
 def _bits_to_str(bits) -> str:
@@ -209,21 +209,6 @@ class TestHadamardCorrector:
             HadamardCorrector().correct_batch(
                 oracle, batch, np.ones((2, 4), dtype=np.int64), new_rng(0), repeats=3
             )
-
-    def test_fallback_loop_without_batch_method(self):
-        class OneAtATime:
-            queries_per_call = HadamardCorrector.queries_per_call
-
-            def correct(self, view, position, rng):
-                return HadamardCorrector().correct(view, position, rng)
-
-        table = _linear_table(3, 5)
-        oracle = BilledOracle([FiniteDistribution.point(_bits_to_str(table))], seed=0)
-        batch = oracle.draw(1)
-        got = _correct_positions(
-            oracle, batch, OneAtATime(), np.arange(1, 9), new_rng(4), repeats=3
-        )
-        assert np.array_equal(got[0], table)
 
 
 class TestHadamardProperty:
