@@ -7,6 +7,12 @@ pair are free, and two handles are billed separately even when the underlying
 strings happen to be equal.  Positions are 1-based, so a string x reads
 x_1 ... x_n and querying position n+1 is an error.
 
+Storage: for each source the oracle keeps one atom index per sample of an
+explicit (:class:`FiniteDistribution`) source, or the sampler row of each
+sample of an implicit one, plus a billing ledger: a bool matrix of samples x
+the distinct positions ever queried on that source.  On an explicit source,
+memory and time therefore grow with the queries billed, not with samples x n.
+
 Randomness: everything runs on numpy's PCG64 generator, with seeds split via
 ``numpy.random.SeedSequence``.  A (seed, parameters) pair therefore fixes
 every verdict bit for bit, across platforms and worker counts.
@@ -177,7 +183,7 @@ class FiniteDistribution:
         total = float(weights.sum())
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"atom weights sum to {total!r}, not 1")
-        if np.unique(rows, axis=0).shape[0] != rows.shape[0]:
+        if np.unique(pack_rows(rows)).size != rows.shape[0]:
             raise ValueError("atoms must be distinct strings")
         rows = np.ascontiguousarray(rows)
         rows.setflags(write=False)
@@ -221,9 +227,12 @@ class FiniteDistribution:
     def atoms(self) -> list[tuple[BitString, float]]:
         return [(BitString(r), float(w)) for r, w in zip(self._rows, self._weights)]
 
+    def draw_atoms(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Draw ``count`` atom indices i.i.d. by weight."""
+        return rng.choice(self.support_size, size=count, p=self._weights)
+
     def draw_rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        idx = rng.choice(self.support_size, size=count, p=self._weights)
-        return self._rows[idx]
+        return self._rows[self.draw_atoms(rng, count)]
 
     def project(self, positions) -> "FiniteDistribution":
         """Restrict every atom to ``positions`` (1-based), merging collisions."""
@@ -248,7 +257,9 @@ class ImplicitDistribution:
 
     Backed by a sampler instead of an atom table, so it supports drawing but
     no exact distance computation.  ``metadata`` records how the instance was
-    built; generators put certified distance labels there.
+    built; generators put certified distance labels there.  ``sampler(rng,
+    count)`` returns a fresh (count, n) 0/1 array, which an oracle may keep
+    without copying.
     """
 
     n: int
@@ -301,6 +312,113 @@ class SampleBatch(Sequence):
             yield SampleHandle(self.token, self.source, int(r))
 
 
+def _capacity(have: int, need: int) -> int:
+    """Buffer length for ``need`` items: ``have`` if enough, else doubled."""
+    return have if have >= need else max(need, 2 * have)
+
+
+def _distinct_per_row(cols: np.ndarray) -> bool:
+    """True iff no row of ``cols`` (1-d, or 2-d row by row) repeats a value."""
+    if cols.shape[-1] < 2:
+        return True
+    srt = np.sort(cols, axis=-1)
+    return bool(np.all(srt[..., 1:] != srt[..., :-1]))
+
+
+class _SourceStore:
+    """What a :class:`BilledOracle` keeps for one of its sources.
+
+    ``samples`` holds one atom index per sample of an explicit source, or the
+    sampler row of each sample of an implicit one.  ``ledger[r, j]`` records
+    whether the pair (sample r, the position of ledger column j) was billed;
+    ``column[c]`` is 1 + the ledger column of 0-based position c, or 0 while
+    c was never queried.  Only the first ``count`` samples and ``width``
+    columns are in use; both buffers grow by doubling.
+    """
+
+    __slots__ = ("source", "atoms", "samples", "count", "column", "width", "ledger")
+
+    def __init__(self, source: SampleSource, n: int):
+        self.source = source
+        if isinstance(source, FiniteDistribution):
+            self.atoms = source.rows
+            self.samples = np.empty(0, dtype=np.intp)
+        else:
+            self.atoms = None
+            self.samples = np.empty((0, n), dtype=np.uint8)
+        self.count = 0
+        self.column = np.zeros(n, dtype=np.intp)
+        self.width = 0
+        self.ledger = np.zeros((0, 0), dtype=bool)
+
+    def append(self, rng: np.random.Generator, count: int) -> None:
+        if self.atoms is None:
+            new = self.source.draw_rows(rng, count)
+        else:
+            new = self.source.draw_atoms(rng, count)
+        end = self.count + count
+        if self.count == 0:
+            # Kept as drawn: copying a large first block into a new buffer
+            # left the allocator holding more memory than the block itself.
+            self.samples = new
+        else:
+            if end > len(self.samples):
+                grown = np.empty(
+                    (_capacity(len(self.samples), end),) + self.samples.shape[1:],
+                    dtype=self.samples.dtype,
+                )
+                grown[: self.count] = self.samples[: self.count]
+                self.samples = grown
+            self.samples[self.count : end] = new
+        self.count = end
+        self._fit_ledger()
+
+    def _fit_ledger(self) -> None:
+        # Called on each draw as well as on billing.  Growing the rows at
+        # draw time, while no query's temporaries are alive, keeps this
+        # long-lived buffer from landing above them in the heap, where it
+        # held their freed memory resident.
+        have_rows, have_cols = self.ledger.shape
+        if have_rows < self.count or have_cols < self.width:
+            grown = np.zeros(
+                (_capacity(have_rows, self.count), _capacity(have_cols, self.width)),
+                dtype=bool,
+            )
+            grown[:have_rows, :have_cols] = self.ledger
+            self.ledger = grown
+
+    def bits(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Bits at 0-based positions ``cols`` of samples ``rows`` (broadcast)."""
+        if self.atoms is None:
+            return self.samples[rows, cols]
+        return self.atoms[self.samples[rows], cols]
+
+    def bill(self, rows: np.ndarray, cols: np.ndarray, mask=None) -> int:
+        """Mark pairs billed and return how many of them were not yet.
+
+        ``rows`` and 0-based ``cols`` broadcast together and name distinct
+        (sample, position) pairs; ``mask``, of their broadcast shape, keeps
+        only some of them.  Positions are mapped to ledger columns here,
+        once per entry of ``cols``.
+        """
+        col = self.column[cols]
+        if np.count_nonzero(col) < col.size:
+            fresh = np.unique(cols[col == 0])
+            self.column[fresh] = np.arange(self.width + 1, self.width + 1 + fresh.size)
+            self.width += fresh.size
+            col = self.column[cols]
+        col -= 1
+        self._fit_ledger()
+        # One flat index per pair: numpy takes and puts through a 1-d index
+        # faster than through two broadcast ones.
+        flat = rows * self.ledger.shape[1] + col
+        cells = self.ledger.reshape(-1)
+        seen = cells[flat]
+        new = ~seen if mask is None else mask & ~seen
+        cells[flat] = True if mask is None else seen | mask
+        return int(np.count_nonzero(new))
+
+
 class BilledOracle:
     """Sampling access to one or two distributions with per-bit billing.
 
@@ -320,16 +438,10 @@ class BilledOracle:
             raise ValueError("all distributions must share the same n")
         if n < 1:
             raise ValueError("n must be at least 1")
-        self._sources = sources
+        self._stores = [_SourceStore(s, n) for s in sources]
         self._n = n
         self._rng = new_rng(seed)
         self._token = next(_oracle_tokens)
-        self._bits: list[np.ndarray] = [
-            np.empty((0, n), dtype=np.uint8) for _ in sources
-        ]
-        self._seen: list[np.ndarray] = [
-            np.empty((0, n), dtype=bool) for _ in sources
-        ]
         self._queries = 0
 
     @property
@@ -338,7 +450,7 @@ class BilledOracle:
 
     @property
     def num_sources(self) -> int:
-        return len(self._sources)
+        return len(self._stores)
 
     @property
     def queries_used(self) -> int:
@@ -346,20 +458,17 @@ class BilledOracle:
 
     @property
     def samples_drawn(self) -> tuple[int, ...]:
-        return tuple(int(b.shape[0]) for b in self._bits)
+        return tuple(store.count for store in self._stores)
 
     def draw(self, count: int, source: int = 0) -> SampleBatch:
         """Draw ``count`` i.i.d. samples from ``source`` and return handles."""
         if not isinstance(count, (int, np.integer)) or count < 1:
             raise ValueError("sample count must be a positive integer")
-        if not 0 <= source < len(self._sources):
+        if not 0 <= source < len(self._stores):
             raise ValueError(f"no distribution with index {source}")
-        rows = self._sources[source].draw_rows(self._rng, int(count))
-        start = self._bits[source].shape[0]
-        self._bits[source] = np.concatenate([self._bits[source], rows])
-        self._seen[source] = np.concatenate(
-            [self._seen[source], np.zeros((count, self._n), dtype=bool)]
-        )
+        store = self._stores[source]
+        start = store.count
+        store.append(self._rng, int(count))
         return SampleBatch(self._token, source, np.arange(start, start + count))
 
     def query(self, handle: SampleHandle, position: int) -> int:
@@ -367,12 +476,11 @@ class BilledOracle:
         self._check_handle(handle)
         if not 1 <= position <= self._n:
             raise ValueError(f"position {position} outside [1, {self._n}]")
-        row, col = handle.row, position - 1
-        seen = self._seen[handle.source]
-        if not seen[row, col]:
-            seen[row, col] = True
-            self._queries += 1
-        return int(self._bits[handle.source][row, col])
+        store = self._stores[handle.source]
+        rows = np.array([handle.row])
+        cols = np.array([position - 1])
+        self._queries += store.bill(rows, cols)
+        return int(store.bits(rows, cols)[0])
 
     def query_block(self, handles, positions) -> np.ndarray:
         """Reveal bits of several handles at once.
@@ -381,70 +489,52 @@ class BilledOracle:
         or a 2-d array with one row of positions per handle.  Returns a
         (len(handles), width) uint8 matrix.  Billing stays per distinct
         (handle, position) pair, duplicates inside the call included.
-        A call whose touched samples hold no more cells than it has pairs is
-        billed the ``seen`` cells it newly sets on them, so duplicates need no
-        sort; a wider call is billed its distinct unseen pairs, and either
-        branch bills the same number.
+
+        The call is first reduced to its distinct pairs, which are then
+        billed as in ``query``.  A call whose touched samples hold no more
+        cells than it has pairs scatters into a bitmap over those samples; a
+        call without repeats is its own set of pairs; any other call takes
+        ``np.unique`` over flat pair keys.
         """
         batch = self._as_batch(handles)
         pos = np.asarray(positions, dtype=np.int64)
         k = len(batch)
-        if pos.ndim == 1:
-            shared = True
-        elif pos.ndim == 2 and pos.shape[0] == k:
-            shared = False
-        else:
+        if not (pos.ndim == 1 or (pos.ndim == 2 and pos.shape[0] == k)):
             raise ValueError("positions must be 1-d or have one row per handle")
         if pos.size == 0:
             return np.empty((k, 0), dtype=np.uint8)
         if int(pos.min()) < 1 or int(pos.max()) > self._n:
             raise ValueError(f"positions outside [1, {self._n}]")
+        store = self._stores[batch.source]
         rows = batch.rows
-        cols = (pos if not shared else pos[None, :]) - 1
-        out = self._bits[batch.source][rows[:, None], cols]
-
-        seen = self._seen[batch.source]
-        touched = np.unique(rows)
+        cols = pos - 1
+        out = store.bits(rows[:, None], cols)
+        touched = np.unique(rows) if rows.size > 1 else rows
         if touched.size * self._n <= rows.size * pos.shape[-1]:
-            # Dense call: the set cells gained by the touched rows are exactly
-            # the distinct new pairs, duplicates included, with no sort.
-            before = int(np.count_nonzero(seen[touched]))
-            seen[rows[:, None], cols] = True
-            self._queries += int(np.count_nonzero(seen[touched])) - before
-            return out
-        rows_unique = touched.size == rows.size
-        if shared:
-            pos_unique = np.unique(pos).size == pos.size
+            hit = np.zeros((touched.size, self._n), dtype=bool)
+            hit[np.searchsorted(touched, rows)[:, None], cols] = True
+            used = np.flatnonzero(hit.any(axis=0))
+            self._queries += store.bill(touched[:, None], used, hit[:, used])
+        elif touched.size == rows.size and _distinct_per_row(cols):
+            self._queries += store.bill(rows[:, None], cols)
         else:
-            srt = np.sort(pos, axis=1)
-            pos_unique = bool(np.all(srt[:, 1:] != srt[:, :-1])) if pos.shape[1] > 1 else True
-        if rows_unique and pos_unique:
-            fresh = ~seen[rows[:, None], cols]
-            self._queries += int(fresh.sum())
-            seen[rows[:, None], cols] = True
-        else:
-            # Duplicate handles or positions inside one call: bill through the
-            # flattened (row, col) pair set instead.
-            flat = (rows[:, None] * self._n + cols).ravel()
-            uniq = np.unique(flat)
-            flat_seen = seen.reshape(-1)
-            self._queries += int(np.count_nonzero(~flat_seen[uniq]))
-            flat_seen[uniq] = True
+            flat = np.unique((rows[:, None] * self._n + cols).ravel())
+            self._queries += store.bill(flat // self._n, flat % self._n)
         return out
 
     def _check_handle(self, handle: SampleHandle) -> None:
         if not isinstance(handle, SampleHandle) or handle.token != self._token:
             raise ValueError("handle does not belong to this oracle")
-        if not 0 <= handle.source < len(self._sources):
+        if not 0 <= handle.source < len(self._stores):
             raise ValueError("handle names an unknown distribution")
-        if not 0 <= handle.row < self._bits[handle.source].shape[0]:
+        if not 0 <= handle.row < self._stores[handle.source].count:
             raise ValueError("handle names a sample that was never drawn")
 
     def _as_batch(self, handles) -> SampleBatch:
         if isinstance(handles, SampleBatch):
             if handles.token != self._token:
                 raise ValueError("handles do not belong to this oracle")
-            if len(handles) and int(handles.rows.max()) >= self._bits[handles.source].shape[0]:
+            if len(handles) and int(handles.rows.max()) >= self._stores[handles.source].count:
                 raise ValueError("batch names samples that were never drawn")
             return handles
         if isinstance(handles, SampleHandle):

@@ -62,96 +62,110 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# spec params
+
+REQUIRED = object()  # marks a spec param that has no default
+
+
+def _checked_params(params: dict, schema: dict, what: str) -> dict:
+    """Check ``params`` against ``schema`` and return them as keywords.
+
+    ``schema`` maps each param name to (type, default or REQUIRED).  An
+    unknown or missing param, or a value that does not convert to its type,
+    is a ValueError naming the param.  Type ``object`` takes any value as
+    it is; a bool param must be a JSON boolean, because bool("false") is
+    True.
+    """
+    unknown = sorted(set(params) - set(schema))
+    if unknown:
+        raise ValueError(f"unknown {what} param {unknown[0]!r} (expected {', '.join(schema)})")
+    kw = {}
+    for name, (kind, default) in schema.items():
+        if name not in params:
+            if default is REQUIRED:
+                raise ValueError(f"missing {what} param {name!r}")
+            kw[name] = default
+        elif kind is object:
+            kw[name] = params[name]
+        else:
+            try:
+                if kind is bool and not isinstance(params[name], bool):
+                    raise TypeError
+                kw[name] = kind(params[name])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{what} param {name!r} must be {kind.__name__}, got {params[name]!r}"
+                ) from None
+    return kw
+
+
+# ---------------------------------------------------------------------------
 # instance generators reachable from specs
 
 
-def _gen_point(params, rng):
-    return FiniteDistribution.point(params["x"])
+def _gen_hadamard_codewords(rng, k, messages):
+    return code_lift(hadamard_code(k), FiniteDistribution.uniform_over(messages))
 
 
-def _gen_uniform_strings(params, rng):
-    return FiniteDistribution.uniform_over(params["strings"])
+def _gen_mixture(rng, components, weights):
+    return mixture([build_source(c, rng) for c in components], weights)
 
 
-def _gen_atoms(params, rng):
-    return FiniteDistribution(atoms=[(bits, float(w)) for bits, w in params["atoms"]])
+_X = {"x": (object, REQUIRED)}
+_STRINGS = {"strings": (list, REQUIRED)}
 
-
-def _gen_uniform_random_subset(params, rng):
-    return uniform_random_subset(
-        rng,
-        n=int(params["n"]),
-        m=int(params["m"]),
-        min_distance=float(params.get("min_distance", 0.0)),
-    )
-
-
-def _gen_rotations(params, rng):
-    return shift_dist(params["x"], law=params.get("law"))
-
-
-def _gen_perturbation(params, rng):
-    return perturb_dist(
-        params["x"],
-        eta=float(params["eta"]),
-        delta=float(params["delta"]),
-        rate=params.get("rate"),
-    )
-
-
-def _gen_coordinate_noise(params, rng):
-    return coordinate_noise_dist(params["x"], params["flip_probs"])
-
-
-def _gen_inside_outside(params, rng):
-    return inside_outside_mixture(params["strings"])
-
-
-def _gen_graph_copies(params, rng):
-    return iso_copies_dist(params["adjacency"])
-
-
-def _gen_hadamard_codewords(params, rng):
-    code = hadamard_code(int(params["k"]))
-    msgs = params["messages"]
-    p = FiniteDistribution.uniform_over(msgs)
-    return code_lift(code, p)
-
-
-def _gen_mixture(params, rng):
-    comps = [build_source(c, rng) for c in params["components"]]
-    return mixture(comps, params["weights"])
-
-
+# kind -> (build(rng, **params), params as name -> (type, default or REQUIRED))
 GENERATORS = {
-    "point": _gen_point,
-    "uniform-strings": _gen_uniform_strings,
-    "atoms": _gen_atoms,
-    "uniform-random-subset": _gen_uniform_random_subset,
-    "rotations": _gen_rotations,
-    "perturbation": _gen_perturbation,
-    "coordinate-noise": _gen_coordinate_noise,
-    "inside-outside": _gen_inside_outside,
-    "graph-copies": _gen_graph_copies,
-    "hadamard-codewords": _gen_hadamard_codewords,
-    "mixture": _gen_mixture,
+    "point": (lambda rng, x: FiniteDistribution.point(x), _X),
+    "uniform-strings": (lambda rng, strings: FiniteDistribution.uniform_over(strings), _STRINGS),
+    "atoms": (
+        lambda rng, atoms: FiniteDistribution(atoms=[(bits, float(w)) for bits, w in atoms]),
+        {"atoms": (list, REQUIRED)},
+    ),
+    "uniform-random-subset": (
+        uniform_random_subset,
+        {"n": (int, REQUIRED), "m": (int, REQUIRED), "min_distance": (float, 0.0)},
+    ),
+    "rotations": (lambda rng, x, law: shift_dist(x, law=law), {**_X, "law": (list, None)}),
+    "perturbation": (
+        lambda rng, x, eta, delta, rate: perturb_dist(x, eta=eta, delta=delta, rate=rate),
+        {**_X, "eta": (float, REQUIRED), "delta": (float, REQUIRED), "rate": (float, None)},
+    ),
+    "coordinate-noise": (
+        lambda rng, x, flip_probs: coordinate_noise_dist(x, flip_probs),
+        {**_X, "flip_probs": (list, REQUIRED)},
+    ),
+    "inside-outside": (lambda rng, strings: inside_outside_mixture(strings), _STRINGS),
+    "graph-copies": (
+        lambda rng, adjacency: iso_copies_dist(adjacency), {"adjacency": (object, REQUIRED)}
+    ),
+    "hadamard-codewords": (
+        _gen_hadamard_codewords, {"k": (int, REQUIRED), "messages": (list, REQUIRED)}
+    ),
+    "mixture": (_gen_mixture, {"components": (list, REQUIRED), "weights": (list, REQUIRED)}),
 }
 
 
 def build_source(spec: dict, seed):
-    """Build one instance from {"kind": ..., "params": {...}}."""
+    """Build one instance from {"kind": ..., "params": {...}}.
+
+    A param that ``GENERATORS`` does not list for the kind, a missing one,
+    or one that does not convert to its type is a ValueError naming it.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("a source must be an object with a 'kind'")
     kind = spec["kind"]
     if kind not in GENERATORS:
         raise ValueError(f"unknown generator kind {kind!r}")
-    return GENERATORS[kind](spec.get("params", {}), new_rng(seed))
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("generator params must be a JSON object")
+    build, schema = GENERATORS[kind]
+    return build(new_rng(seed), **_checked_params(params, schema, "generator"))
 
 
 # ---------------------------------------------------------------------------
 # testers reachable from specs
-
-REQUIRED = object()  # marks a spec param that has no default
 
 _STRING_PROPERTIES = {"linearity": LinearityTester, "constant": ConstantTester}
 _INNER_RULES = {"support": SupportInner, "grained": GrainedInner}
@@ -183,26 +197,7 @@ class TesterEntry:
     constants: tuple
 
     def __call__(self, oracle, params, constants, seed) -> TesterReport:
-        unknown = sorted(set(params) - set(self.params))
-        if unknown:
-            raise ValueError(
-                f"unknown tester param {unknown[0]!r} (expected {', '.join(self.params)})"
-            )
-        kw = {}
-        for name, (kind, default) in self.params.items():
-            if name not in params:
-                if default is REQUIRED:
-                    raise ValueError(f"missing tester param {name!r}")
-                kw[name] = default
-                continue
-            try:
-                if kind is bool and not isinstance(params[name], bool):
-                    raise TypeError  # bool("false") would be True
-                kw[name] = kind(params[name])
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"tester param {name!r} must be {kind.__name__}, got {params[name]!r}"
-                ) from None
+        kw = _checked_params(params, self.params, "tester")
         if "property" in kw:
             maker = _lookup(_STRING_PROPERTIES, kw.pop("property"), "string property")
             kw["string_tester"] = maker()

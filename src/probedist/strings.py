@@ -291,7 +291,8 @@ class ExactIsomorphismTester:
     least row-major form over all vertex relabelings, and compares.  Brute
     force over v! relabelings, so v is capped at 7; canonical forms are
     cached per handle, which keeps t-sample runs at one canonicalisation
-    per sample.
+    per sample.  The cache holds the handles of one oracle at a time: a
+    handle of another oracle empties it.
     """
 
     max_vertices: int = 7
@@ -299,12 +300,16 @@ class ExactIsomorphismTester:
 
     def __post_init__(self):
         object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_cache_token", None)
 
     def query_budget(self, n: int, eps: float) -> int:
         return 2 * n
 
     def _canonical(self, view: SampleView) -> bytes:
         key = (view.handle.token, view.handle.source, view.handle.row)
+        if key[0] != self._cache_token:
+            self._cache.clear()
+            object.__setattr__(self, "_cache_token", key[0])
         cached = self._cache.get(key)
         if cached is not None:
             return cached

@@ -67,6 +67,22 @@ class TestGenValidateDist:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ('{"n": 16, "m": 4, "min_distnce": 0.45}', "unknown generator param 'min_distnce'"),
+            ('{"n": null, "m": 4}', "generator param 'n' must be int"),
+            ('{"m": 4}', "missing generator param 'n'"),
+            ("[16, 4]", "generator params must be a JSON object"),
+        ],
+    )
+    def test_gen_rejects_bad_params(self, tmp_path, capsys, params, message):
+        out = tmp_path / "x.txt"
+        rc = cli.main(["gen", "uniform-random-subset", "--params", params, "-o", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _spec_dict(**overrides):
     spec = {

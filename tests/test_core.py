@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from probedist.core import (
     pack_rows,
     random_subset,
 )
+from probedist.testers import support_tester
 
 
 def test_new_rng_deterministic():
@@ -269,6 +272,103 @@ def test_query_block_billing_equals_distinct_pairs(data):
             for j in range(k)
             for c in range(width)
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_billing_and_bits_across_draws_and_sources(data):
+    """Bills and bits stay exact while stores and ledgers grow.
+
+    Draws interleave with ``query`` and ``query_block`` calls on one or two
+    sources, explicit or sampler-backed, and the positions a step may use
+    widen as the run goes on, so ledgers gain columns after earlier calls
+    were billed.  The expected strings come from replaying every draw on a
+    second generator, so each returned bit is checked against its own
+    sample, and the oracle's draws must consume the random stream exactly
+    as a weighted ``choice`` over the atoms, or the sampler, does.
+    """
+    n = data.draw(st.integers(1, 24))
+    rng = new_rng(data.draw(st.integers(0, 2**32)))
+    sources, replays = [], []
+    for _ in range(data.draw(st.integers(1, 2))):
+        if data.draw(st.booleans()):
+            rows = np.unique(rng.integers(0, 2, size=(6, n), dtype=np.uint8), axis=0)
+            weights = rng.random(len(rows)) + 0.1
+            weights /= weights.sum()
+            weights[-1] = 1.0 - weights[:-1].sum()
+            sources.append(FiniteDistribution.from_rows(rows, weights))
+            replays.append(
+                lambda g, c, rows=rows, w=weights: rows[g.choice(len(rows), size=c, p=w)]
+            )
+        else:
+            def sampler(g, c):
+                return g.integers(0, 2, size=(c, n), dtype=np.uint8)
+
+            sources.append(ImplicitDistribution(n, sampler))
+            replays.append(sampler)
+    seed = data.draw(st.integers(0, 2**32))
+    o = BilledOracle(sources, seed=seed)
+    replay = new_rng(seed)
+    strings = [np.empty((0, n), dtype=np.uint8) for _ in sources]
+    handles = [[] for _ in sources]
+    seen = set()
+    for step in range(data.draw(st.integers(1, 12))):
+        src = data.draw(st.integers(0, len(sources) - 1))
+        if not handles[src] or data.draw(st.integers(0, 2)) == 0:
+            count = data.draw(st.integers(1, 5))
+            handles[src].extend(o.draw(count, source=src))
+            strings[src] = np.concatenate([strings[src], replays[src](replay, count)])
+            assert o.samples_drawn[src] == len(handles[src])
+            continue
+        positions = st.integers(1, min(n, 2 + 2 * step))
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(handles[src]) - 1))
+            q = data.draw(positions)
+            assert o.query(handles[src][i], q) == strings[src][i, q - 1]
+            seen.add((src, i, q))
+            assert o.queries_used == len(seen)
+            continue
+        idx = data.draw(
+            st.lists(st.integers(0, len(handles[src]) - 1), min_size=1, max_size=8)
+        )
+        k, touched = len(idx), len(set(idx))
+        dense_from = -(-touched * n // k)  # fewest columns for a dense call
+        if dense_from > 1 and data.draw(st.booleans()):
+            width = data.draw(st.integers(1, dense_from - 1))
+        else:
+            width = data.draw(st.integers(dense_from, dense_from + n))
+        if data.draw(st.booleans()):
+            pos = np.array(data.draw(st.lists(positions, min_size=width, max_size=width)))
+            per_row = np.broadcast_to(pos, (k, width))
+        else:
+            pos = np.array(
+                data.draw(st.lists(positions, min_size=k * width, max_size=k * width))
+            ).reshape(k, width)
+            per_row = pos
+        vals = o.query_block([handles[src][i] for i in idx], pos)
+        assert np.array_equal(vals, strings[src][np.array(idx)[:, None], per_row - 1])
+        seen.update((src, i, int(q)) for i, row in zip(idx, per_row) for q in row)
+        assert o.queries_used == len(seen)
+
+
+def test_support_trial_memory_follows_queries_not_n():
+    """At n=2^20 a support trial bills 165,120 bits in well under 64 MiB.
+
+    Holding the 640 samples in full, as a samples x n store, would take
+    640 MiB for the bits alone.
+    """
+    n = 2**20
+    rows = new_rng(3).integers(0, 2, size=(4, n), dtype=np.uint8)
+    p = FiniteDistribution.uniform_over(rows)
+    tracemalloc.start()
+    try:
+        report = support_tester(BilledOracle([p], seed=4), m=4, eps=0.05, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.accepted
+    assert report.queries_used == 165_120
+    assert peak < 64 * 2**20
 
 
 def test_sample_view():

@@ -156,6 +156,14 @@ class TestExactIsomorphismTester:
         assert t.test(va, vb, 0.5, new_rng(1))
         assert oracle.queries_used == spent
 
+    def test_cache_keeps_only_the_current_oracle(self):
+        sa = _adj_string(4, [(0, 1), (1, 2), (2, 3)])
+        t = ExactIsomorphismTester()
+        for _ in range(50):
+            _, va, vb = self._views(sa, sa)
+            assert t.test(va, vb, 0.5, new_rng(0))
+            assert len(t._cache) == 2
+
     def test_rejects_non_square_length(self):
         _, view = _view_of(np.zeros(12, np.uint8))
         with pytest.raises(ValueError):
