@@ -1,11 +1,12 @@
 """Calibrated constants behind the tester size formulas.
 
 Every sample count, position count, and repetition count in the testers is a
-ceiling of (constant x scaling term).  The constants here were calibrated by
-Monte Carlo (see calibration/defaults.json, regenerated by the CLI's
-``calibrate`` subcommand) so that completeness and soundness both clear a 0.9
-empirical rate on the calibration fixtures; the shipped tests then only rely
-on rates >= 2/3.  Each field's comment names the formula it scales.
+ceiling of (constant x scaling term).  The field defaults of :class:`Constants`
+are the shipped values and their only source: they were calibrated by Monte
+Carlo (the CLI's ``calibrate`` subcommand) so that completeness and soundness
+both clear a 0.9 empirical rate on the calibration fixtures; the shipped tests
+then only rely on rates >= 2/3.  ``Constants.from_file`` loads tuned values
+over them.  Each field's comment names the formula it scales.
 """
 
 from __future__ import annotations

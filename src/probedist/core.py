@@ -91,6 +91,21 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     return arr.view(np.dtype((np.void, arr.shape[1]))).reshape(arr.shape[0])
 
 
+def _merge_rows(rows, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 0/1 matrix in lexicographic order, and the sum of
+    each one's weights in row order (its count when ``weights`` is None)."""
+    keys, inverse = np.unique(pack_rows(rows), return_inverse=True)
+    uniq = keys.view(np.uint8).reshape(keys.size, -1)
+    return uniq, np.bincount(inverse, weights=weights, minlength=keys.size)
+
+
+def _exact_unit_weights(weights) -> np.ndarray:
+    """A copy of ``weights`` with the float residue of their sum on the last."""
+    weights = np.array(weights, dtype=np.float64)
+    weights[-1] += 1.0 - weights.sum()
+    return weights
+
+
 def _as_bit_array(bits) -> np.ndarray:
     if isinstance(bits, BitString):
         return bits.bits
@@ -193,8 +208,11 @@ class FiniteDistribution:
         self._weights = weights
 
     @classmethod
-    def from_rows(cls, rows, weights) -> "FiniteDistribution":
-        return cls(rows=rows, weights=weights)
+    def merged(cls, rows, weights) -> "FiniteDistribution":
+        """Weighted rows as atoms, in lexicographic order: equal rows merge and
+        add their weights, and the float residue of the total goes on the last."""
+        uniq, sums = _merge_rows(rows, weights)
+        return cls(rows=uniq, weights=_exact_unit_weights(sums))
 
     @classmethod
     def point(cls, bits) -> "FiniteDistribution":
@@ -241,14 +259,7 @@ class FiniteDistribution:
             raise ValueError("need at least one position")
         if pos.min() < 1 or pos.max() > self.n:
             raise ValueError("positions outside [1, n]")
-        sub = self._rows[:, pos - 1]
-        uniq, inverse = np.unique(sub, axis=0, return_inverse=True)
-        merged = np.zeros(uniq.shape[0], dtype=np.float64)
-        np.add.at(merged, inverse, self._weights)
-        # Exact renormalisation guard: merging only reorders additions, but a
-        # long float sum can drift past the construction tolerance.
-        merged[-1] += 1.0 - merged.sum()
-        return FiniteDistribution(rows=uniq, weights=merged)
+        return FiniteDistribution.merged(self._rows[:, pos - 1], self._weights)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteDistribution, _as_bit_array
+from .core import FiniteDistribution, _as_bit_array, _merge_rows
 
 __all__ = [
     "hamming_rel",
@@ -174,13 +174,10 @@ def tv(p: FiniteDistribution, q: FiniteDistribution) -> float:
     """Total variation distance between two explicit distributions."""
     if p.n != q.n:
         raise ValueError("distributions live over different n")
-    rows = np.concatenate([p.rows, q.rows])
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    pw = np.zeros(uniq.shape[0])
-    qw = np.zeros(uniq.shape[0])
-    np.add.at(pw, inverse[: p.support_size], p.weights)
-    np.add.at(qw, inverse[p.support_size :], q.weights)
-    return float(0.5 * np.abs(pw - qw).sum())
+    # Atoms within p, and within q, are distinct, so a merged row sums at
+    # most one weight of p and then minus one of q: exactly the float p - q.
+    _, diff = _merge_rows(np.vstack([p.rows, q.rows]), np.concatenate([p.weights, -q.weights]))
+    return float(0.5 * np.abs(diff).sum())
 
 
 def _cluster_cost(rows: np.ndarray, weights: np.ndarray, mask: int) -> tuple[float, np.ndarray]:
@@ -253,19 +250,8 @@ def dist_to_support_m(
         groups.append(group)
         mask ^= group
         k -= 1
-    atoms: dict[bytes, tuple[np.ndarray, float]] = {}
-    for group in groups:
-        center = centers[group]
-        wsum = float(sum(p.weights[i] for i in range(s) if group >> i & 1))
-        key = center.tobytes()
-        if key in atoms:
-            atoms[key] = (center, atoms[key][1] + wsum)
-        else:
-            atoms[key] = (center, wsum)
-    rows = np.stack([c for c, _ in atoms.values()])
-    weights = np.array([w for _, w in atoms.values()])
-    weights[-1] += 1.0 - weights.sum()
-    return value, FiniteDistribution(rows=rows, weights=weights)
+    weights = [float(sum(p.weights[i] for i in range(s) if group >> i & 1)) for group in groups]
+    return value, FiniteDistribution.merged(np.stack([centers[g] for g in groups]), weights)
 
 
 def grain_round(p: FiniteDistribution, ell_prime: int) -> tuple[FiniteDistribution, dict]:
@@ -292,9 +278,8 @@ def grain_round(p: FiniteDistribution, ell_prime: int) -> tuple[FiniteDistributi
         raise ValueError("weights below 2^-52 cannot stay exact in float64")
     zeroed = p.rows.copy()
     zeroed[:, n - ell :] = 0
-    uniq, inverse = np.unique(zeroed, axis=0, return_inverse=True)
-    merged = np.zeros(uniq.shape[0])
-    np.add.at(merged, inverse, p.weights)
+    # Raw sums, no residue: a floor at grain up to 2^52 would see its ulp.
+    uniq, merged = _merge_rows(zeroed, p.weights)
 
     grain = 2.0 ** (n - ell_prime)
     floored = np.floor(merged * grain) / grain

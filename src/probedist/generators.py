@@ -9,6 +9,7 @@ from how the instance was built rather than from sampling.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,9 +19,12 @@ from .core import (
     FiniteDistribution,
     ImplicitDistribution,
     _as_bit_array,
+    _exact_unit_weights,
+    _merge_rows,
     new_rng,
     pack_rows,
 )
+from .strings import MAX_VERTICES, _all_permutations
 
 __all__ = [
     "uniform_random_subset",
@@ -36,12 +40,6 @@ __all__ = [
     "random_linear_code",
     "code_lift",
 ]
-
-
-def _exact_unit_weights(weights: np.ndarray) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64).copy()
-    weights[-1] += 1.0 - weights.sum()
-    return weights
 
 
 def uniform_random_subset(
@@ -71,19 +69,17 @@ def uniform_random_subset(
     return FiniteDistribution.uniform_over(chosen)
 
 
-def inside_outside_mixture(strings, explicit_limit: int = 16):
+def inside_outside_mixture(strings):
     """Half the mass uniform over the given set, half uniform off it.
 
-    Explicit when n is at most ``explicit_limit`` (the full cube is
-    enumerated); otherwise an implicit rejection sampler.
+    Explicit when n is at most 16 (the full cube is enumerated); otherwise
+    an implicit rejection sampler.
     """
-    rows = np.stack([_as_bit_array(s) for s in strings])
-    rows = np.unique(rows, axis=0)
-    n = rows.shape[1]
-    inside = rows.shape[0]
+    rows = _merge_rows(np.stack([_as_bit_array(s) for s in strings]))[0]
+    inside, n = rows.shape
     if inside >= 2**n:
         raise ValueError("the set covers the whole cube; nothing is outside")
-    if n <= explicit_limit:
+    if n <= 16:
         total = 1 << n
         everything = ((np.arange(total)[:, None] >> np.arange(n)[None, :]) & 1).astype(
             np.uint8
@@ -131,10 +127,7 @@ def shift_dist(x, law=None) -> FiniteDistribution:
         raise ValueError("law must be a probability vector over 0..n-1")
     rows = np.stack([np.roll(bits, k) for k in range(n)])
     keep = law > 0
-    uniq, inverse = np.unique(rows[keep], axis=0, return_inverse=True)
-    weights = np.zeros(uniq.shape[0])
-    np.add.at(weights, inverse, law[keep])
-    return FiniteDistribution(rows=uniq, weights=_exact_unit_weights(weights))
+    return FiniteDistribution.merged(rows[keep], law[keep])
 
 
 def _binomial_tail_above(n: int, rate: float, radius: int) -> float:
@@ -157,7 +150,6 @@ def perturb_dist(
     eta: float,
     delta: float,
     rate: float | None = None,
-    enumerate_limit: int = 10,
 ):
     """Member of the bounded-perturbation family around a reference string.
 
@@ -168,8 +160,8 @@ def perturb_dist(
     conditioning would discard half the noise mass or more, since the
     result would stop resembling rate-level noise.
 
-    Explicit enumeration of the radius ball for n <= enumerate_limit,
-    otherwise an implicit rejection sampler.
+    Explicit enumeration of the radius ball for n <= 10, otherwise an
+    implicit rejection sampler.
     """
     bits = _as_bit_array(x)
     n = bits.size
@@ -197,9 +189,7 @@ def perturb_dist(
         "radius": int(radius),
         "truncation_mass": float(truncation),
     }
-    if n <= enumerate_limit:
-        import itertools
-
+    if n <= 10:
         rows, weights = [], []
         for r in range(radius + 1):
             base_w = rate**r * (1.0 - rate) ** (n - r)
@@ -258,12 +248,13 @@ def coordinate_noise_dist(x, flip_probs) -> ImplicitDistribution:
     )
 
 
-def iso_copies_dist(adjacency, max_vertices: int = 7) -> FiniteDistribution:
+def iso_copies_dist(adjacency) -> FiniteDistribution:
     """Uniform relabeling of one graph: adjacency matrices of its copies.
 
     ``adjacency`` is a v x v 0/1 matrix (or its row-major n = v^2 string).
     The distribution draws a uniformly random vertex relabeling; copies
-    that coincide (automorphisms) merge into heavier atoms.
+    that coincide (automorphisms) merge into heavier atoms, each weighing
+    its count of relabelings over v!.  At most ``MAX_VERTICES`` vertices.
     """
     arr = np.asarray(adjacency, dtype=np.uint8)
     if arr.ndim == 1:
@@ -274,15 +265,13 @@ def iso_copies_dist(adjacency, max_vertices: int = 7) -> FiniteDistribution:
     v = arr.shape[0]
     if arr.shape != (v, v) or int(arr.max(initial=0)) > 1:
         raise ValueError("adjacency must be a square 0/1 matrix")
-    if v > max_vertices:
-        raise ValueError(f"permutation enumeration capped at {max_vertices} vertices")
-    from .strings import _all_permutations
-
+    if v > MAX_VERTICES:
+        raise ValueError(f"permutation enumeration capped at {MAX_VERTICES} vertices")
     perms = _all_permutations(v)
     relabeled = arr[perms[:, :, None], perms[:, None, :]].reshape(len(perms), v * v)
-    uniq, counts = np.unique(relabeled, axis=0, return_counts=True)
-    weights = counts / len(perms)
-    return FiniteDistribution(rows=uniq, weights=_exact_unit_weights(weights))
+    # counts / v!: adding v! weights of 1/v! can differ in the last bit.
+    uniq, counts = _merge_rows(relabeled)
+    return FiniteDistribution(rows=uniq, weights=_exact_unit_weights(counts / len(perms)))
 
 
 def relabel(p: FiniteDistribution, seed) -> FiniteDistribution:
@@ -327,10 +316,7 @@ def mixture(components, weights) -> FiniteDistribution:
         raise ValueError("components live over different n")
     rows = np.concatenate([c.rows for c in components])
     w = np.concatenate([c.weights * wt for c, wt in zip(components, weights)])
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    merged = np.zeros(uniq.shape[0])
-    np.add.at(merged, inverse, w)
-    return FiniteDistribution(rows=uniq, weights=_exact_unit_weights(merged))
+    return FiniteDistribution.merged(rows, w)
 
 
 @dataclass(frozen=True)
@@ -356,7 +342,7 @@ class LinearCode:
         g.setflags(write=False)
         object.__setattr__(self, "generator", g)
         words = self.codewords()
-        if np.unique(words, axis=0).shape[0] != words.shape[0]:
+        if np.unique(pack_rows(words)).size != words.shape[0]:
             raise ValueError("generator is rank-deficient; encoding is not injective")
         dist = float(words[1:].sum(axis=1).min()) / g.shape[1]
         object.__setattr__(self, "measured_min_distance", dist)

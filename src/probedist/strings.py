@@ -9,6 +9,8 @@ procedure for many samples at once through one oracle call.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -16,7 +18,7 @@ from typing import ClassVar, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from .core import BilledOracle, SampleBatch, SampleView
+from .core import BilledOracle, SampleBatch, SampleView, pack_rows
 
 __all__ = [
     "StringTester",
@@ -29,6 +31,17 @@ __all__ = [
     "FullReadTester",
     "ExactIsomorphismTester",
 ]
+
+# Most vertices of a graph whose v! relabelings are enumerated.
+MAX_VERTICES = 7
+
+# Batch primitives split a batch into chunks of at most this many probe
+# positions, bounding their temporaries; a call under it is one chunk.
+CHUNK_ENTRIES = 1 << 22
+
+
+def _chunk_samples(entries_per_sample: int) -> int:
+    return max(1, CHUNK_ENTRIES // max(1, entries_per_sample))
 
 
 @runtime_checkable
@@ -133,6 +146,10 @@ class LinearityTester:
             raise ValueError("linearity testing needs n = 2^k")
         k = len(batch)
         r = self.rounds(eps)
+        step = _chunk_samples(repeats * r * 3)
+        if k > step:
+            parts = [batch[i : i + step] for i in range(0, k, step)]
+            return np.concatenate([self.test_batch(oracle, p, eps, rng, repeats) for p in parts])
         a = rng.integers(0, n, size=(k, repeats, r))
         b = rng.integers(0, n, size=(k, repeats, r))
         pos = np.stack([a, b, a ^ b], axis=-1).reshape(k, repeats * r * 3) + 1
@@ -188,6 +205,11 @@ class HadamardCorrector:
         if a.shape[0] != k:
             raise ValueError("positions must be shared or one row per sample")
         L = a.shape[1]
+        step = _chunk_samples(L * repeats * 4)
+        if k > step:
+            parts = [(batch[i : i + step], a[i : i + step] + 1) for i in range(0, k, step)]
+            done = [self.correct_batch(oracle, b, p, rng, repeats) for b, p in parts]
+            return np.concatenate(done)
         r = rng.integers(0, n, size=(k, L, repeats, 2))
         shifted = a[:, :, None, None] ^ r
         pos = np.stack([shifted, r], axis=-1).reshape(k, L * repeats * 4) + 1
@@ -270,15 +292,9 @@ class FullReadTester:
         return bool(self.contains(bits))
 
 
-_PERM_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _all_permutations(v: int) -> np.ndarray:
-    if v not in _PERM_CACHE:
-        import itertools
-
-        _PERM_CACHE[v] = np.array(list(itertools.permutations(range(v))), dtype=np.int64)
-    return _PERM_CACHE[v]
+    return np.array(list(itertools.permutations(range(v))), dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,13 +305,13 @@ class ExactIsomorphismTester:
     self-loops allowed; undirected graphs are the symmetric special case).
     Reads both strings fully, brings each matrix to the lexicographically
     least row-major form over all vertex relabelings, and compares.  Brute
-    force over v! relabelings, so v is capped at 7; canonical forms are
-    cached per handle, which keeps t-sample runs at one canonicalisation
-    per sample.  The cache holds the handles of one oracle at a time: a
-    handle of another oracle empties it.
+    force over v! relabelings, so v is capped at ``MAX_VERTICES`` by
+    default; canonical forms are cached per handle, which keeps t-sample
+    runs at one canonicalisation per sample.  The cache holds the handles
+    of one oracle at a time: a handle of another oracle empties it.
     """
 
-    max_vertices: int = 7
+    max_vertices: int = MAX_VERTICES
     one_sided: ClassVar[bool] = True
 
     def __post_init__(self):
@@ -322,8 +338,7 @@ class ExactIsomorphismTester:
         mat = view.query_block(np.arange(1, n + 1)).reshape(v, v)
         perms = _all_permutations(v)
         relabeled = mat[perms[:, :, None], perms[:, None, :]].reshape(len(perms), n)
-        packed = relabeled.view(np.dtype((np.void, n))).reshape(len(perms))
-        canon = bytes(np.sort(packed)[0])
+        canon = bytes(np.sort(pack_rows(relabeled))[0])
         self._cache[key] = canon
         return canon
 

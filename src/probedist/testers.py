@@ -847,23 +847,22 @@ def graph_copies_tester(
     eps: float,
     seed,
     constants: Constants = DEFAULT_CONSTANTS,
-    iso_tester=None,
 ) -> TesterReport:
     """Test that X is supported on the isomorphic copies of one graph.
 
     Samples are v x v adjacency matrices read row-major (n = v^2).  Draws
     t = ceil(c / eps) samples and rejects iff the isomorphism tester
-    rejects some (first, i-th) pair.  The default isomorphism tester reads
-    both matrices fully and compares canonical relabelings exactly, which
-    is correct, one-sided, and pays at most n per distinct sample thanks to
-    per-handle caching; anything smarter can be plugged in.
+    rejects some (first, i-th) pair.  The isomorphism tester reads both
+    matrices fully and compares canonical relabelings exactly, which is
+    correct, one-sided, and pays at most n per distinct sample thanks to
+    per-handle caching.
     """
     _check_eps(eps)
     n = oracle.n
     v = math.isqrt(n)
     if v * v != n:
         raise ValueError("adjacency strings need square length n = v^2")
-    iso = iso_tester if iso_tester is not None else ExactIsomorphismTester()
+    iso = ExactIsomorphismTester()
     rng = new_rng(seed)
     t = max(2, math.ceil(constants.ideal_samples / eps))
     ref = oracle.draw(1)

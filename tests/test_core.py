@@ -62,6 +62,32 @@ def test_pack_rows_keys():
     assert (pack_rows(rows) == keys).all()
 
 
+def _merged_reference(rows, weights):
+    """Equal rows merged by np.unique(axis=0) and np.add.at, residue on the last."""
+    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+    sums = np.zeros(uniq.shape[0])
+    np.add.at(sums, inverse.reshape(-1), weights)
+    sums[-1] += 1.0 - sums.sum()
+    return uniq, sums
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_merged_matches_unique_and_add_at_bit_for_bit(data):
+    cols = data.draw(st.integers(1, 40))
+    count = data.draw(st.integers(1, 60))
+    distinct = data.draw(st.integers(1, count))
+    rng = new_rng(data.draw(st.integers(0, 2**32)))
+    pool = rng.integers(0, 2, size=(distinct, cols), dtype=np.uint8)
+    rows = pool[rng.integers(0, distinct, size=count)]
+    raw = rng.random(count) + 1e-3
+    weights = raw / raw.sum()
+    p = FiniteDistribution.merged(rows, weights)
+    uniq, sums = _merged_reference(rows, weights)
+    assert np.array_equal(p.rows, uniq)
+    assert p.weights.tobytes() == sums.tobytes()
+
+
 def test_bitstring():
     x = BitString("0101")
     assert x.n == 4
@@ -296,7 +322,7 @@ def test_billing_and_bits_across_draws_and_sources(data):
             weights = rng.random(len(rows)) + 0.1
             weights /= weights.sum()
             weights[-1] = 1.0 - weights[:-1].sum()
-            sources.append(FiniteDistribution.from_rows(rows, weights))
+            sources.append(FiniteDistribution(rows=rows, weights=weights))
             replays.append(
                 lambda g, c, rows=rows, w=weights: rows[g.choice(len(rows), size=c, p=w)]
             )

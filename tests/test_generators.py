@@ -1,5 +1,6 @@
 """Tests for the fixture generators and linear-code utilities."""
 
+import itertools
 import math
 
 import numpy as np
@@ -230,6 +231,26 @@ class TestIsoCopies:
     def test_vertex_cap(self):
         with pytest.raises(ValueError):
             iso_copies_dist(np.zeros((8, 8), np.uint8))
+
+    @pytest.mark.parametrize("v, edges", [
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),          # path
+        (6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]),  # star
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),  # cycle
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]),
+    ])
+    def test_weights_are_counts_over_v_factorial(self, v, edges):
+        adj = np.zeros((v, v), np.uint8)
+        for a, b in edges:
+            adj[a, b] = adj[b, a] = 1
+        perms = np.array(list(itertools.permutations(range(v))))
+        copies = adj[perms[:, :, None], perms[:, None, :]].reshape(len(perms), v * v)
+        uniq, counts = np.unique(copies, axis=0, return_counts=True)
+        weights = counts / math.factorial(v)
+        weights[-1] += 1.0 - weights.sum()
+        p = iso_copies_dist(adj)
+        assert p.support_size < len(perms)
+        assert np.array_equal(p.rows, uniq)
+        assert p.weights.tobytes() == weights.tobytes()
 
 
 class TestRelabel:

@@ -381,13 +381,30 @@ class TestDistributionFiles:
         assert np.array_equal(q.weights, p.weights)
 
 
-class TestShippedDefaults:
-    def test_defaults_file_round_trips(self):
-        path = Path(__file__).resolve().parents[1] / "calibration" / "defaults.json"
-        loaded = Constants.from_file(path)
-        assert loaded == DEFAULT_CONSTANTS
+class TestConstantsFromFile:
+    """``Constants`` field defaults are the shipped values; files only tune them."""
 
-    def test_defaults_file_lists_every_constant(self):
-        path = Path(__file__).resolve().parents[1] / "calibration" / "defaults.json"
-        payload = json.loads(path.read_text())
-        assert set(payload["constants"]) == set(DEFAULT_CONSTANTS.to_dict())
+    def test_reads_calibrate_output(self, tmp_path):
+        path = tmp_path / "tuned.json"
+        path.write_text(json.dumps({
+            "tester": "support",
+            "constants": {"support_samples": 5.0, "support_positions": 6.5},
+            "results": [],
+            "suite_hash": "0" * 64,
+        }))
+        assert Constants.from_file(path) == DEFAULT_CONSTANTS.replace(
+            support_samples=5.0, support_positions=6.5
+        )
+
+    def test_reads_flat_dict(self, tmp_path):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"equality_mean": 40, "amplification": 3}))
+        loaded = Constants.from_file(path)
+        assert loaded == DEFAULT_CONSTANTS.replace(equality_mean=40.0, amplification=3.0)
+        assert isinstance(loaded.equality_mean, float)
+
+    def test_rejects_unknown_name(self, tmp_path):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"constants": {"support_sample": 5.0}}))
+        with pytest.raises(ValueError, match="support_sample"):
+            Constants.from_file(path)

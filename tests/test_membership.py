@@ -2,6 +2,7 @@
 distribution-level membership testers built on them."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def _codeword_dist(k: int, messages) -> FiniteDistribution:
     return code_lift(hadamard_code(k), FiniteDistribution.uniform_over(messages))
 
 
+def _traced_peak(call):
+    """(result, tracemalloc peak in bytes) of ``call()``."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The int64 probe positions of one unchunked call of the large-batch tests
+# below would fill this; the batch primitives must stay far under it.
+_UNCHUNKED_BYTES = 256 * 2**20
+
+
 class TestLinearityTester:
     def test_accepts_exact_linear_tables(self):
         t = LinearityTester()
@@ -83,6 +99,19 @@ class TestLinearityTester:
         ok = LinearityTester().test_batch(oracle, batch, 0.5, new_rng(2), repeats=2)
         assert ok.shape == (6, 2)
         assert ok.all()
+
+    def test_batch_memory_stays_bounded_on_large_batches(self):
+        p = _codeword_dist(6, ["110000", "100010", "001101", "111100"])
+        oracle = BilledOracle([p], seed=1)
+        batch = oracle.draw(1200)
+        t, eps, repeats = LinearityTester(), 0.01, 32
+        assert len(batch) * repeats * t.query_budget(64, eps) * 8 >= _UNCHUNKED_BYTES
+        ok, peak = _traced_peak(
+            lambda: t.test_batch(oracle, batch, eps, new_rng(2), repeats=repeats)
+        )
+        assert ok.shape == (1200, repeats)
+        assert ok.all()
+        assert peak < _UNCHUNKED_BYTES / 2
 
 
 class TestConstantTester:
@@ -208,6 +237,20 @@ class TestHadamardCorrector:
         assert got.shape == (3, 3)
         rows = oracle.query_block(batch, pos)
         assert np.array_equal(got, rows)
+
+    def test_batch_memory_stays_bounded_on_large_batches(self):
+        p = _codeword_dist(6, ["010001", "101100", "111111"])
+        oracle = BilledOracle([p], seed=2)
+        batch = oracle.draw(1024)
+        positions, repeats = np.arange(1, 65), 129
+        assert len(batch) * positions.size * repeats * 4 * 8 >= _UNCHUNKED_BYTES
+        got, peak = _traced_peak(
+            lambda: HadamardCorrector().correct_batch(
+                oracle, batch, positions, new_rng(1), repeats=repeats
+            )
+        )
+        assert np.array_equal(got, oracle.query_block(batch, positions))
+        assert peak < _UNCHUNKED_BYTES / 2
 
     def test_batch_rejects_bad_position_shape(self):
         p = _codeword_dist(6, ["010001", "101100"])
