@@ -7,11 +7,15 @@ pair are free, and two handles are billed separately even when the underlying
 strings happen to be equal.  Positions are 1-based, so a string x reads
 x_1 ... x_n and querying position n+1 is an error.
 
-Storage: for each source the oracle keeps one atom index per sample of an
-explicit (:class:`FiniteDistribution`) source, or the sampler row of each
-sample of an implicit one, plus a billing ledger: a bool matrix of samples x
-the distinct positions ever queried on that source.  On an explicit source,
-memory and time therefore grow with the queries billed, not with samples x n.
+Storage: for each source the oracle keeps a billing ledger, a matrix of
+samples x the distinct positions ever queried on that source, and beside it
+one atom index per sample of an explicit (:class:`FiniteDistribution`)
+source, or the sampler row of each sample of an implicit one.  A product
+source (an implicit one with a ``product`` law) keeps no samples at all: a
+draw only counts them, and the bit of a (sample, position) pair is drawn
+from the oracle's generator when the pair is first billed and then kept in
+its ledger cell.  On explicit and product sources, memory and time therefore
+grow with the queries billed, not with samples x n.
 
 Randomness: everything runs on numpy's PCG64 generator, with seeds split via
 ``numpy.random.SeedSequence``.  A (seed, parameters) pair therefore fixes
@@ -41,6 +45,7 @@ __all__ = [
     "new_rng",
     "random_subset",
     "pack_rows",
+    "BudgetLawError",
 ]
 
 # Weights of an explicit distribution must sum to 1 within this tolerance.
@@ -106,6 +111,11 @@ def _exact_unit_weights(weights) -> np.ndarray:
     return weights
 
 
+def _to01(bits: np.ndarray) -> str:
+    """A 0/1 uint8 array as a string of the characters 0 and 1."""
+    return (bits + ord("0")).tobytes().decode("ascii")
+
+
 def _as_bit_array(bits) -> np.ndarray:
     if isinstance(bits, BitString):
         return bits.bits
@@ -147,7 +157,7 @@ class BitString:
         return int(self._bits[position - 1])
 
     def to01(self) -> str:
-        return "".join("1" if b else "0" for b in self._bits)
+        return _to01(self._bits)
 
     def __len__(self) -> int:
         return int(self._bits.size)
@@ -271,11 +281,27 @@ class ImplicitDistribution:
     built; generators put certified distance labels there.  ``sampler(rng,
     count)`` returns a fresh (count, n) 0/1 array, which an oracle may keep
     without copying.
+
+    ``product``, when given, is the sampler's law in product form: the pair
+    (reference bits, flip probabilities), under which bit i of a sample is
+    reference[i] flipped with probability probs[i], independently of every
+    other bit.  An oracle then draws a bit only when it is first billed.
     """
 
     n: int
     sampler: Callable[[np.random.Generator, int], np.ndarray]
     metadata: dict = field(default_factory=dict)
+    product: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.product is not None:
+            ref = _as_bit_array(self.product[0])
+            probs = np.asarray(self.product[1], dtype=np.float64)
+            if ref.shape != (self.n,) or probs.shape != (self.n,):
+                raise ValueError("a product law needs n reference bits and n probabilities")
+            if not (probs.min() >= 0.0 and probs.max() <= 1.0):
+                raise ValueError("flip probabilities must lie in [0, 1]")
+            object.__setattr__(self, "product", (ref, probs))
 
     def draw_rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
         rows = np.asarray(self.sampler(rng, int(count)), dtype=np.uint8)
@@ -340,49 +366,60 @@ class _SourceStore:
     """What a :class:`BilledOracle` keeps for one of its sources.
 
     ``samples`` holds one atom index per sample of an explicit source, or the
-    sampler row of each sample of an implicit one.  ``ledger[r, j]`` records
-    whether the pair (sample r, the position of ledger column j) was billed;
-    ``column[c]`` is 1 + the ledger column of 0-based position c, or 0 while
-    c was never queried.  Only the first ``count`` samples and ``width``
-    columns are in use; both buffers grow by doubling.
+    sampler row of each sample of an implicit one; a product source keeps
+    none.  ``ledger[r, j]`` records whether the pair (sample r, the position
+    of ledger column j) was billed.  It is a bool, except on a product
+    source, where it is a uint8: 0 until the pair is billed, then 1 + the
+    pair's bit, drawn at that moment.  ``column[p]`` is 1 + the ledger column
+    of 1-based position p, or 0 while p was never queried.  Only the first
+    ``count`` samples and ``width`` columns are in use; both buffers grow by
+    doubling.
     """
 
-    __slots__ = ("source", "atoms", "samples", "count", "column", "width", "ledger")
+    __slots__ = (
+        "source", "rng", "atoms", "product", "samples", "count", "column", "width", "ledger"
+    )
 
-    def __init__(self, source: SampleSource, n: int):
+    def __init__(self, source: SampleSource, n: int, rng: np.random.Generator):
         self.source = source
+        self.rng = rng
+        self.atoms = self.product = None
         if isinstance(source, FiniteDistribution):
             self.atoms = source.rows
             self.samples = np.empty(0, dtype=np.intp)
+        elif source.product is not None:
+            self.product = source.product
+            self.samples = None
         else:
-            self.atoms = None
             self.samples = np.empty((0, n), dtype=np.uint8)
         self.count = 0
-        self.column = np.zeros(n, dtype=np.intp)
+        self.column = np.zeros(n + 1, dtype=np.intp)
         self.width = 0
-        self.ledger = np.zeros((0, 0), dtype=bool)
+        self.ledger = np.zeros((0, 0), dtype=bool if self.product is None else np.uint8)
 
-    def append(self, rng: np.random.Generator, count: int) -> None:
-        if self.atoms is None:
-            new = self.source.draw_rows(rng, count)
-        else:
-            new = self.source.draw_atoms(rng, count)
-        end = self.count + count
+    def append(self, count: int) -> None:
+        if self.atoms is not None:
+            self._keep(self.source.draw_atoms(self.rng, count))
+        elif self.product is None:
+            self._keep(self.source.draw_rows(self.rng, count))
+        self.count += count
+        self._fit_ledger()
+
+    def _keep(self, new: np.ndarray) -> None:
+        end = self.count + len(new)
         if self.count == 0:
             # Kept as drawn: copying a large first block into a new buffer
             # left the allocator holding more memory than the block itself.
             self.samples = new
-        else:
-            if end > len(self.samples):
-                grown = np.empty(
-                    (_capacity(len(self.samples), end),) + self.samples.shape[1:],
-                    dtype=self.samples.dtype,
-                )
-                grown[: self.count] = self.samples[: self.count]
-                self.samples = grown
-            self.samples[self.count : end] = new
-        self.count = end
-        self._fit_ledger()
+            return
+        if end > len(self.samples):
+            grown = np.empty(
+                (_capacity(len(self.samples), end),) + self.samples.shape[1:],
+                dtype=self.samples.dtype,
+            )
+            grown[: self.count] = self.samples[: self.count]
+            self.samples = grown
+        self.samples[self.count : end] = new
 
     def _fit_ledger(self) -> None:
         # Called on each draw as well as on billing.  Growing the rows at
@@ -393,31 +430,41 @@ class _SourceStore:
         if have_rows < self.count or have_cols < self.width:
             grown = np.zeros(
                 (_capacity(have_rows, self.count), _capacity(have_cols, self.width)),
-                dtype=bool,
+                dtype=self.ledger.dtype,
             )
             grown[:have_rows, :have_cols] = self.ledger
             self.ledger = grown
 
-    def bits(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Bits at 0-based positions ``cols`` of samples ``rows`` (broadcast)."""
-        if self.atoms is None:
-            return self.samples[rows, cols]
-        return self.atoms[self.samples[rows], cols]
+    def bits(self, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Bits at 1-based positions ``pos`` of samples ``rows`` (broadcast).
 
-    def bill(self, rows: np.ndarray, cols: np.ndarray, mask=None) -> int:
+        On a product source the pairs must be billed already: it draws a
+        pair's bit when it bills it, and an unbilled pair reads as 255.
+        """
+        if self.product is not None:
+            flat = rows * self.ledger.shape[1] + (self.column[pos] - 1)
+            bits = self.ledger.reshape(-1)[flat]
+            bits -= 1
+            return bits
+        if self.atoms is None:
+            return self.samples[rows, pos - 1]
+        return self.atoms[self.samples[rows], pos - 1]
+
+    def bill(self, rows: np.ndarray, pos: np.ndarray, mask=None) -> int:
         """Mark pairs billed and return how many of them were not yet.
 
-        ``rows`` and 0-based ``cols`` broadcast together and name distinct
+        ``rows`` and 1-based ``pos`` broadcast together and name distinct
         (sample, position) pairs; ``mask``, of their broadcast shape, keeps
         only some of them.  Positions are mapped to ledger columns here,
-        once per entry of ``cols``.
+        once per entry of ``pos``.  On a product source each new pair's
+        bit is drawn here.
         """
-        col = self.column[cols]
+        col = self.column[pos]
         if np.count_nonzero(col) < col.size:
-            fresh = np.unique(cols[col == 0])
+            fresh = np.unique(pos[col == 0])
             self.column[fresh] = np.arange(self.width + 1, self.width + 1 + fresh.size)
             self.width += fresh.size
-            col = self.column[cols]
+            col = self.column[pos]
         col -= 1
         self._fit_ledger()
         # One flat index per pair: numpy takes and puts through a 1-d index
@@ -425,8 +472,18 @@ class _SourceStore:
         flat = rows * self.ledger.shape[1] + col
         cells = self.ledger.reshape(-1)
         seen = cells[flat]
-        new = ~seen if mask is None else mask & ~seen
-        cells[flat] = True if mask is None else seen | mask
+        if self.product is None:
+            new = ~seen if mask is None else mask & ~seen
+            cells[flat] = True if mask is None else seen | mask
+            return int(np.count_nonzero(new))
+        new = seen == 0 if mask is None else mask & (seen == 0)
+        # One uniform per pair of the call, in pair order; a pair that is
+        # not new keeps its cell and discards its uniform.  Reference bits
+        # and rates are gathered per position, not per pair.
+        ref, probs = self.product
+        at = pos - 1
+        drawn = 1 + (ref[at] ^ (self.rng.random(flat.shape) < probs[at]))
+        cells[flat] = np.where(new, drawn, seen)
         return int(np.count_nonzero(new))
 
 
@@ -449,9 +506,9 @@ class BilledOracle:
             raise ValueError("all distributions must share the same n")
         if n < 1:
             raise ValueError("n must be at least 1")
-        self._stores = [_SourceStore(s, n) for s in sources]
-        self._n = n
         self._rng = new_rng(seed)
+        self._stores = [_SourceStore(s, n, self._rng) for s in sources]
+        self._n = n
         self._token = next(_oracle_tokens)
         self._queries = 0
 
@@ -479,7 +536,7 @@ class BilledOracle:
             raise ValueError(f"no distribution with index {source}")
         store = self._stores[source]
         start = store.count
-        store.append(self._rng, int(count))
+        store.append(int(count))
         return SampleBatch(self._token, source, np.arange(start, start + count))
 
     def query(self, handle: SampleHandle, position: int) -> int:
@@ -489,9 +546,9 @@ class BilledOracle:
             raise ValueError(f"position {position} outside [1, {self._n}]")
         store = self._stores[handle.source]
         rows = np.array([handle.row])
-        cols = np.array([position - 1])
-        self._queries += store.bill(rows, cols)
-        return int(store.bits(rows, cols)[0])
+        pos = np.array([position])
+        self._queries += store.bill(rows, pos)
+        return int(store.bits(rows, pos)[0])
 
     def query_block(self, handles, positions) -> np.ndarray:
         """Reveal bits of several handles at once.
@@ -502,14 +559,15 @@ class BilledOracle:
         (handle, position) pair, duplicates inside the call included.
 
         The call is first reduced to its distinct pairs, which are then
-        billed as in ``query``.  A call whose touched samples hold no more
-        cells than it has pairs scatters into a bitmap over those samples; a
-        call without repeats is its own set of pairs; any other call takes
-        ``np.unique`` over flat pair keys.
+        billed as in ``query``, and read back once billed.  A call whose
+        touched samples hold no more cells than it has pairs scatters into a
+        bitmap over those samples and reads its bits back from a table of
+        the same shape; a call without repeats is its own set of pairs; any
+        other call takes ``np.unique`` over flat pair keys.
         """
         batch = self._as_batch(handles)
-        pos = np.asarray(positions, dtype=np.int64)
         k = len(batch)
+        pos = np.asarray(positions, dtype=np.int64)
         if not (pos.ndim == 1 or (pos.ndim == 2 and pos.shape[0] == k)):
             raise ValueError("positions must be 1-d or have one row per handle")
         if pos.size == 0:
@@ -518,20 +576,25 @@ class BilledOracle:
             raise ValueError(f"positions outside [1, {self._n}]")
         store = self._stores[batch.source]
         rows = batch.rows
-        cols = pos - 1
-        out = store.bits(rows[:, None], cols)
         touched = np.unique(rows) if rows.size > 1 else rows
         if touched.size * self._n <= rows.size * pos.shape[-1]:
-            hit = np.zeros((touched.size, self._n), dtype=bool)
-            hit[np.searchsorted(touched, rows)[:, None], cols] = True
+            # The bitmap, and the bit table read back through it, leave
+            # column 0 unused, so the caller's positions index them as is.
+            hit = np.zeros((touched.size, self._n + 1), dtype=bool)
+            at = np.searchsorted(touched, rows)[:, None]
+            hit[at, pos] = True
             used = np.flatnonzero(hit.any(axis=0))
             self._queries += store.bill(touched[:, None], used, hit[:, used])
-        elif touched.size == rows.size and _distinct_per_row(cols):
-            self._queries += store.bill(rows[:, None], cols)
+            table = np.zeros(hit.shape, dtype=np.uint8)
+            table[:, used] = store.bits(touched[:, None], used)
+            return table[at, pos]
+        if touched.size == rows.size and _distinct_per_row(pos):
+            self._queries += store.bill(rows[:, None], pos)
         else:
-            flat = np.unique((rows[:, None] * self._n + cols).ravel())
-            self._queries += store.bill(flat // self._n, flat % self._n)
-        return out
+            stride = self._n + 1
+            flat = np.unique((rows[:, None] * stride + pos).ravel())
+            self._queries += store.bill(flat // stride, flat % stride)
+        return store.bits(rows[:, None], pos)
 
     def _check_handle(self, handle: SampleHandle) -> None:
         if not isinstance(handle, SampleHandle) or handle.token != self._token:
@@ -620,8 +683,31 @@ class TesterReport:
         }
 
 
+class BudgetLawError(RuntimeError):
+    """A tester's bill breaks its declared budget or the sample law."""
+
+
 def finish_report(oracle: BilledOracle, accept: bool, trace: dict) -> TesterReport:
-    """Assemble a report from the oracle's final counters."""
+    """Assemble a report from the oracle's final counters.
+
+    Checks the budget law first: ``trace["budget"]`` is ``"exact"`` (the
+    bill equals its value) or ``"bound"`` (the bill is at most its value),
+    and every run bills between one bit per sample drawn and all n of them,
+    samples <= queries <= samples * n.  A violation raises
+    :class:`BudgetLawError`.
+    """
+    budget = trace.get("budget", {})
+    kind, value = budget.get("kind"), budget.get("value")
+    queries, samples = oracle.queries_used, sum(oracle.samples_drawn)
+    if kind not in ("exact", "bound"):
+        raise BudgetLawError(f"trace has no exact or bound budget: {budget!r}")
+    if queries > value or (kind == "exact" and queries != value):
+        raise BudgetLawError(f"{kind} budget {value} but {queries} bits billed")
+    if not samples <= queries <= samples * oracle.n:
+        raise BudgetLawError(
+            f"{queries} bits billed outside [samples, samples * n] = "
+            f"[{samples}, {samples * oracle.n}]"
+        )
     return TesterReport(
         verdict="accept" if accept else "reject",
         samples_used=oracle.samples_drawn,

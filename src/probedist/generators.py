@@ -21,6 +21,7 @@ from .core import (
     _as_bit_array,
     _exact_unit_weights,
     _merge_rows,
+    _to01,
     new_rng,
     pack_rows,
 )
@@ -182,7 +183,7 @@ def perturb_dist(
         )
     metadata = {
         "family": "bounded-perturbation",
-        "reference": "".join(str(b) for b in bits),
+        "reference": _to01(bits),
         "eta": float(eta),
         "rate": float(rate),
         "delta": float(delta),
@@ -225,13 +226,13 @@ def perturb_dist(
 def coordinate_noise_dist(x, flip_probs) -> ImplicitDistribution:
     """Product noise around a reference string: bit i flips w.p. flip_probs[i].
 
-    No radius truncation; the exact marginals sit in the metadata.
+    No radius truncation; the exact marginals sit in the metadata.  The law
+    is product form, so an oracle draws each bit only when it is billed.
     """
     bits = _as_bit_array(x)
     n = bits.size
+    # The product law below is checked on construction: n rates in [0, 1].
     probs = np.asarray(flip_probs, dtype=np.float64)
-    if probs.shape != (n,) or probs.min() < 0.0 or probs.max() > 1.0:
-        raise ValueError("flip_probs must be n probabilities")
 
     def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
         flips = rng.random((count, n)) < probs[None, :]
@@ -242,9 +243,10 @@ def coordinate_noise_dist(x, flip_probs) -> ImplicitDistribution:
         sampler=sampler,
         metadata={
             "family": "coordinate-noise",
-            "reference": "".join(str(b) for b in bits),
+            "reference": _to01(bits),
             "marginals": probs.tolist(),
         },
+        product=(bits, probs),
     )
 
 

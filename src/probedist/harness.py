@@ -26,7 +26,7 @@ import numpy as np
 
 from . import testers
 from .constants import DEFAULT_CONSTANTS, Constants
-from .core import BilledOracle, FiniteDistribution, TesterReport, new_rng
+from .core import BilledOracle, FiniteDistribution, TesterReport, _to01, new_rng
 from .generators import (
     code_lift,
     coordinate_noise_dist,
@@ -587,7 +587,7 @@ def save_distribution(path, dist: FiniteDistribution) -> None:
         raise ValueError("only explicit distributions can be saved")
     lines = [f"n {dist.n}"]
     for row, w in zip(dist.rows, dist.weights):
-        lines.append("".join(str(b) for b in row) + f" {float(w)!r}")
+        lines.append(f"{_to01(row)} {float(w)!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

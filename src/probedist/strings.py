@@ -152,7 +152,8 @@ class LinearityTester:
             return np.concatenate([self.test_batch(oracle, p, eps, rng, repeats) for p in parts])
         a = rng.integers(0, n, size=(k, repeats, r))
         b = rng.integers(0, n, size=(k, repeats, r))
-        pos = np.stack([a, b, a ^ b], axis=-1).reshape(k, repeats * r * 3) + 1
+        pos = np.stack([a, b, a ^ b], axis=-1).reshape(k, repeats * r * 3)
+        pos += 1
         bits = oracle.query_block(batch, pos).reshape(k, repeats, r, 3)
         ok = (bits[..., 0] ^ bits[..., 1]) == bits[..., 2]
         return ok.all(axis=2)
@@ -212,7 +213,8 @@ class HadamardCorrector:
             return np.concatenate(done)
         r = rng.integers(0, n, size=(k, L, repeats, 2))
         shifted = a[:, :, None, None] ^ r
-        pos = np.stack([shifted, r], axis=-1).reshape(k, L * repeats * 4) + 1
+        pos = np.stack([shifted, r], axis=-1).reshape(k, L * repeats * 4)
+        pos += 1
         bits = oracle.query_block(batch, pos).reshape(k, L, repeats, 2, 2)
         est = bits[..., 0] ^ bits[..., 1]
         call = np.where(est[..., 0] == est[..., 1], est[..., 0], -1).astype(np.int8)

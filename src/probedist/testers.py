@@ -687,7 +687,9 @@ def cyclic_shift_tester(
 
     Compares every further sample against the first one drawn; a comparison
     passes when some pair of candidate rotations aligns the two samples on
-    every probed offset, and any failed comparison rejects.
+    every probed offset, and the first failed comparison rejects.  Each
+    further sample is drawn when its comparison starts, so a run that
+    rejects early draws no sample it never reads.
 
     plain: t = ceil(c / eps) samples; each comparison uses
     m = ceil(c * sqrt(n * ln(t+1))) candidate rotations per side and
@@ -711,11 +713,10 @@ def cyclic_shift_tester(
         t = max(2, math.ceil(constants.ideal_samples / eps))
         m_shifts = math.ceil(constants.shift_count * math.sqrt(n * _ln1p(t)))
         ell = math.ceil(constants.offset_count * _ln1p(n / eps) / eps)
-        others = oracle.draw(t - 1)
         mismatch = False
-        for i in range(t - 1):
+        for _ in range(t - 1):
             ok = _rotation_pair_match(
-                oracle, ref, others[i : i + 1], m_shifts, ell, rng, audit
+                oracle, ref, oracle.draw(1), m_shifts, ell, rng, audit
             )
             comparisons.append(ok)
             if not ok:
@@ -739,10 +740,9 @@ def cyclic_shift_tester(
         for step in schedule:
             if mismatch:
                 break
-            batch = oracle.draw(step["samples"])
-            for i in range(step["samples"]):
+            for _ in range(step["samples"]):
                 ok = _rotation_pair_match(
-                    oracle, ref, batch[i : i + 1], step["shifts"], step["offsets"], rng, audit
+                    oracle, ref, oracle.draw(1), step["shifts"], step["offsets"], rng, audit
                 )
                 comparisons.append(ok)
                 if not ok:
@@ -850,9 +850,11 @@ def graph_copies_tester(
 ) -> TesterReport:
     """Test that X is supported on the isomorphic copies of one graph.
 
-    Samples are v x v adjacency matrices read row-major (n = v^2).  Draws
-    t = ceil(c / eps) samples and rejects iff the isomorphism tester
-    rejects some (first, i-th) pair.  The isomorphism tester reads both
+    Samples are v x v adjacency matrices read row-major (n = v^2).  Uses
+    t = ceil(c / eps) samples and rejects at the first (first, i-th) pair
+    the isomorphism tester rejects; the i-th sample is drawn when its pair
+    is compared, so a run that rejects early draws no sample it never
+    reads.  The isomorphism tester reads both
     matrices fully and compares canonical relabelings exactly, which is
     correct, one-sided, and pays at most n per distinct sample thanks to
     per-handle caching.
@@ -865,14 +867,12 @@ def graph_copies_tester(
     iso = ExactIsomorphismTester()
     rng = new_rng(seed)
     t = max(2, math.ceil(constants.ideal_samples / eps))
-    ref = oracle.draw(1)
-    others = oracle.draw(t - 1)
-    ref_view = SampleView(oracle, ref[0])
+    ref_view = SampleView(oracle, oracle.draw(1)[0])
     mismatch = False
     checked = 0
-    for handle in others:
+    for _ in range(t - 1):
         checked += 1
-        if not iso.test(ref_view, SampleView(oracle, handle), eps, rng):
+        if not iso.test(ref_view, SampleView(oracle, oracle.draw(1)[0]), eps, rng):
             mismatch = True
             break
     trace = {

@@ -7,15 +7,19 @@ from hypothesis import given, settings, strategies as st
 from probedist.core import (
     BilledOracle,
     BitString,
+    BudgetLawError,
     FiniteDistribution,
     ImplicitDistribution,
     SampleView,
     TesterReport,
+    finish_report,
     new_rng,
     pack_rows,
     random_subset,
 )
-from probedist.testers import support_tester
+from probedist.generators import coordinate_noise_dist
+from probedist.strings import ConstantTester
+from probedist.testers import noisy_membership_tester, support_tester
 
 
 def test_new_rng_deterministic():
@@ -377,6 +381,132 @@ def test_billing_and_bits_across_draws_and_sources(data):
         assert o.queries_used == len(seen)
 
 
+def _product_source(n, rng):
+    """A coordinate-noise source whose flip rates include exact 0s and 1s."""
+    ref = rng.integers(0, 2, size=n, dtype=np.uint8)
+    probs = rng.choice([0.0, 1.0, 0.3, 0.5, 0.9], size=n)
+    return coordinate_noise_dist(ref, probs), ref, probs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_source_reads_repeat_their_bits_and_bills(data):
+    """A product source draws a bit when the pair is billed, then keeps it.
+
+    Calls mix ``query`` with 1-d and 2-d ``query_block`` calls that repeat
+    handles and positions, and widths on both sides of the dense-call point.
+    Every read of a pair must return the bit its first read returned, the
+    bill must be the number of distinct pairs, and a position that flips
+    with probability 0 or 1 must read its reference bit, or its complement.
+    """
+    n = data.draw(st.integers(1, 24))
+    dist, ref, probs = _product_source(n, new_rng(data.draw(st.integers(0, 2**32))))
+    o = BilledOracle([dist], seed=data.draw(st.integers(0, 2**32)))
+    handles = list(o.draw(data.draw(st.integers(1, 4))))
+    known: dict[tuple[int, int], int] = {}
+
+    def record(i, q, bit):
+        assert known.setdefault((i, q), bit) == bit
+        if probs[q - 1] in (0.0, 1.0):
+            assert bit == ref[q - 1] ^ int(probs[q - 1])
+
+    for _ in range(data.draw(st.integers(1, 10))):
+        action = data.draw(st.integers(0, 3))
+        if action == 0:
+            handles.extend(o.draw(data.draw(st.integers(1, 3))))
+            continue
+        if action == 1:
+            i = data.draw(st.integers(0, len(handles) - 1))
+            q = data.draw(st.integers(1, n))
+            record(i, q, o.query(handles[i], q))
+            assert o.queries_used == len(known)
+            continue
+        idx = data.draw(st.lists(st.integers(0, len(handles) - 1), min_size=1, max_size=6))
+        k, touched = len(idx), len(set(idx))
+        dense_from = -(-touched * n // k)  # fewest columns for a dense call
+        if dense_from > 1 and data.draw(st.booleans()):
+            width = data.draw(st.integers(1, dense_from - 1))
+        else:
+            width = data.draw(st.integers(dense_from, dense_from + n))
+        positions = st.integers(1, n)
+        if action == 2:
+            pos = np.array(data.draw(st.lists(positions, min_size=width, max_size=width)))
+            per_row = np.broadcast_to(pos, (k, width))
+        else:
+            pos = np.array(
+                data.draw(st.lists(positions, min_size=k * width, max_size=k * width))
+            ).reshape(k, width)
+            per_row = pos
+        vals = o.query_block([handles[i] for i in idx], pos)
+        for j, i in enumerate(idx):
+            for c in range(width):
+                record(i, int(per_row[j, c]), int(vals[j, c]))
+        assert o.queries_used == len(known)
+    assert all(o.query(handles[i], q) == bit for (i, q), bit in known.items())
+    assert o.queries_used == len(known)
+
+
+def test_product_source_matches_the_materialized_sampler():
+    """Bits drawn at billing time have the sampler's law.
+
+    Per-position frequencies of ones, and the joint frequency of ones at a
+    pair of positions, read through the oracle in a billing order that
+    interleaves positions and samples, agree with the product law and with
+    rows from the materialized sampler within five binomial deviations.
+    """
+    n, count = 6, 20_000
+    ref = np.array([0, 1, 0, 1, 1, 0], dtype=np.uint8)
+    probs = np.array([0.05, 0.2, 0.5, 0.7, 0.95, 0.35])
+    dist = coordinate_noise_dist(ref, probs)
+    o = BilledOracle([dist], seed=11)
+    batch = o.draw(count)
+    rng = new_rng(12)
+    # Each sample reads its positions in its own random order, in one dense
+    # call and one sparse call, so the stream interleaves rows and columns.
+    order = np.argsort(rng.random((count, n)), axis=1) + 1
+    lazy = np.empty((count, n), dtype=np.uint8)
+    half = count // 2
+    lazy[np.arange(half)[:, None], order[:half] - 1] = o.query_block(batch[:half], order[:half])
+    lazy[half + np.arange(count - half)[:, None], order[half:] - 1] = o.query_block(
+        batch[half:], order[half:]
+    )
+    assert o.queries_used == count * n
+    rows = dist.draw_rows(new_rng(13), count)
+    mean = np.where(ref == 1, 1.0 - probs, probs)
+    a, b = 1, 3
+    for got in (lazy, rows):
+        sd = np.sqrt(mean * (1.0 - mean) / count)
+        assert np.all(np.abs(got.mean(axis=0) - mean) <= 5 * sd)
+        joint = mean[a] * mean[b]
+        both = float((got[:, a] & got[:, b]).mean())
+        assert abs(both - joint) <= 5 * np.sqrt(joint * (1.0 - joint) / count)
+    gap_sd = np.sqrt(2.0 * mean * (1.0 - mean) / count)
+    assert np.all(np.abs(lazy.mean(axis=0) - rows.mean(axis=0)) <= 5 * gap_sd)
+
+
+def test_noisy_membership_memory_follows_queries_not_n():
+    """At n=2^20 a noisy-membership trial bills 953,918 bits in under 64 MiB.
+
+    The constant property, eta 0.1, delta 0.2, eps 0.25, on coordinate
+    noise with flip rate 0.05.  Drawing its 2,452 samples in full would make
+    2,452 x 2^20 float64 randoms, 19 GiB.
+    """
+    n = 2**20
+    dist = coordinate_noise_dist(np.zeros(n, dtype=np.uint8), np.full(n, 0.05))
+    tracemalloc.start()
+    try:
+        report = noisy_membership_tester(
+            BilledOracle([dist], seed=4), ConstantTester(), eta=0.1, delta=0.2, eps=0.25, seed=5
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.accepted
+    assert report.queries_used == 953_918
+    assert report.samples_used == (2452,)
+    assert peak < 64 * 2**20
+
+
 def test_support_trial_memory_follows_queries_not_n():
     """At n=2^20 a support trial bills 165,120 bits in well under 64 MiB.
 
@@ -413,3 +543,43 @@ def test_tester_report():
     assert r.to_dict()["queries_used"] == 7
     with pytest.raises(ValueError):
         TesterReport(verdict="maybe", samples_used=(1,), queries_used=1, trace={})
+
+
+class TestBudgetLaw:
+    """``finish_report`` refuses a report that breaks the budget law."""
+
+    def _oracle(self, samples: int, queries: int) -> BilledOracle:
+        o = BilledOracle([FiniteDistribution.point("0110")], seed=0)
+        batch = o.draw(samples)
+        o.query_block(batch, np.arange(1, queries // samples + 1))
+        return o
+
+    @staticmethod
+    def _trace(kind, value):
+        return {"budget": {"kind": kind, "value": value}}
+
+    def test_lawful_reports_pass(self):
+        o = self._oracle(2, 6)
+        assert finish_report(o, True, self._trace("exact", 6)).queries_used == 6
+        assert finish_report(o, False, self._trace("bound", 8)).verdict == "reject"
+
+    def test_exact_budget_must_equal_the_bill(self):
+        with pytest.raises(BudgetLawError, match="exact budget 5 but 6"):
+            finish_report(self._oracle(2, 6), True, self._trace("exact", 5))
+
+    def test_bound_budget_must_cover_the_bill(self):
+        with pytest.raises(BudgetLawError, match="bound budget 5 but 6"):
+            finish_report(self._oracle(2, 6), True, self._trace("bound", 5))
+
+    def test_every_sample_costs_at_least_one_bit(self):
+        o = BilledOracle([FiniteDistribution.point("0110")], seed=0)
+        batch = o.draw(3)
+        o.query(batch[0], 1)
+        with pytest.raises(BudgetLawError, match=r"outside \[samples, samples \* n\]"):
+            finish_report(o, True, self._trace("bound", 10))
+
+    def test_budget_is_required(self):
+        with pytest.raises(BudgetLawError, match="no exact or bound budget"):
+            finish_report(self._oracle(1, 2), True, {})
+        with pytest.raises(BudgetLawError, match="no exact or bound budget"):
+            finish_report(self._oracle(1, 2), True, self._trace("roughly", 2))

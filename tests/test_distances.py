@@ -6,6 +6,7 @@ import pytest
 from emd_reference import emd_reference, support_distance_reference, tv_reference
 from probedist.core import FiniteDistribution, new_rng
 from probedist.distances import (
+    cost_matrix,
     dist_to_support_m,
     emd,
     emd_with_plan,
@@ -101,6 +102,35 @@ def test_solver_matches_reference_oracle():
             got = emd(p, q, metric=metric)
             want = emd_reference(atoms(p), atoms(q), metric=metric)
             assert abs(got - want) <= 1e-9
+
+
+def _exact_size_dist(rng, n, size):
+    """A random distribution over exactly ``size`` distinct n-bit strings."""
+    rows = np.unique(rng.integers(0, 2, size=(4 * size, n), dtype=np.uint8), axis=0)
+    rows = rows[rng.permutation(len(rows))[:size]]
+    w = rng.random(size) + 0.05
+    w /= w.sum()
+    w[-1] += 1.0 - w.sum()
+    return FiniteDistribution(rows=rows, weights=w)
+
+
+def test_emd_matches_linear_programming_on_12_by_12_supports():
+    """The transport solver against scipy's LP solver on the same program."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = new_rng(2024)
+    for _ in range(25):
+        p = _exact_size_dist(rng, 10, 12)
+        q = _exact_size_dist(rng, 10, 12)
+        for metric in ("hamming", "ineq"):
+            costs = cost_matrix(p.rows, q.rows, metric)
+            # flow[i, j] flattened row-major; row sums give p, column sums q.
+            eq = np.vstack([np.kron(np.eye(12), np.ones(12)), np.kron(np.ones(12), np.eye(12))])
+            lp = optimize.linprog(
+                costs.ravel(), A_eq=eq, b_eq=np.concatenate([p.weights, q.weights]),
+                bounds=(0, None), method="highs",
+            )
+            assert lp.status == 0
+            assert abs(emd(p, q, metric=metric) - lp.fun) <= 1e-9
 
 
 def test_ineq_emd_equals_tv_on_random_pairs():

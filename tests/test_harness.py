@@ -282,6 +282,32 @@ class TestFixedSpecReports:
         assert got == digest, f"{tester}: run_experiment JSON changed"
 
 
+# Out-of-family sources that these testers reject at an early comparison.
+# Each compared sample is drawn when its comparison starts, so a run that
+# stops early has read every sample it drew and meets the runtime budget law
+# (samples <= queries) instead of raising BudgetLawError.
+_EARLY_REJECT = {
+    "rotation-family-plain": ("rotation-family", {"eps": 0.1}, ["0001", "0011"]),
+    "rotation-family-staged": ("rotation-family", {"eps": 0.1, "mode": "staged"},
+                               ["0001", "0011"]),
+    "graph-copies-v2": ("graph-copies", {"eps": 0.1}, ["0110", "0000"]),
+    "graph-copies-v3": ("graph-copies", {"eps": 0.1}, ["010101010", "000000000"]),
+}
+
+
+class TestEarlyRejection:
+    @pytest.mark.parametrize("case", sorted(_EARLY_REJECT))
+    def test_draws_only_the_samples_it_reads(self, case):
+        tester, params, strings = _EARLY_REJECT[case]
+        spec = ExperimentSpec(name=case, tester=tester, tester_params=params,
+                              sources=[{"kind": "uniform-strings", "params": {"strings": strings}}],
+                              trials=20, seed=1)
+        records = run_experiment(spec).records
+        assert all(r.verdict == "reject" for r in records)
+        assert min(r.total_samples for r in records) == 2  # rejected at the first comparison
+        assert all(r.total_samples <= r.queries for r in records)
+
+
 def _calibration_suite():
     accept = _support_spec(trials=40)
     reject = ExperimentSpec(
