@@ -340,7 +340,7 @@ class ExactIsomorphismTester:
         mat = view.query_block(np.arange(1, n + 1)).reshape(v, v)
         perms = _all_permutations(v)
         relabeled = mat[perms[:, :, None], perms[:, None, :]].reshape(len(perms), n)
-        canon = bytes(np.sort(pack_rows(relabeled))[0])
+        canon = np.sort(pack_rows(relabeled))[0].tobytes()
         self._cache[key] = canon
         return canon
 

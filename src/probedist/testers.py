@@ -583,15 +583,20 @@ class _MajorityView:
         return self._repeats
 
     def query(self, position: int) -> int:
-        batch = self._oracle.draw(self._repeats)
-        bits = self._oracle.query_block(batch, np.array([position], dtype=np.int64))
-        self.calls += 1
-        return int(2 * int(bits[:, 0].sum()) > self._repeats)
+        return int(self.query_block([position])[0])
 
     def query_block(self, positions) -> np.ndarray:
-        return np.array(
-            [self.query(int(p)) for p in np.asarray(positions).ravel()], dtype=np.uint8
-        )
+        """One draw of ``repeats`` fresh samples per position, read in one
+        call with one position per sample: the pairs, and on a product
+        source their bits, come in the order of one query per position."""
+        pos = np.asarray(positions, dtype=np.int64).ravel()
+        if pos.size == 0:
+            return np.empty(0, dtype=np.uint8)
+        batch = self._oracle.draw(pos.size * self._repeats)
+        bits = self._oracle.query_block(batch, np.repeat(pos, self._repeats)[:, None])
+        self.calls += pos.size
+        votes = bits.reshape(pos.size, self._repeats).sum(axis=1, dtype=np.int64)
+        return (2 * votes > self._repeats).astype(np.uint8)
 
 
 def noisy_membership_tester(
@@ -814,7 +819,9 @@ def shift_law_tester(
     positions = random_subset(rng, n, ell)
     values_x = pack_rows(oracle.query_block(oracle.draw(sa), positions))
 
-    amounts = rng.choice(n, size=sb, p=law)
+    # A virtual sample depends only on its rotation amount, so positions and
+    # keys are built once per distinct amount drawn.
+    amounts, drawn = np.unique(rng.choice(n, size=sb, p=law), return_inverse=True)
     virtual_pos = (positions[None, :] - 1 + amounts[:, None]) % n + 1
     hit = np.zeros(n + 1, dtype=bool)
     hit[virtual_pos.ravel()] = True
@@ -822,7 +829,7 @@ def shift_law_tester(
     ref_bits = oracle.query_block(ref, needed)[0]
     table = np.zeros(n + 1, dtype=np.uint8)
     table[needed] = ref_bits
-    values_y = pack_rows(table[virtual_pos])
+    values_y = pack_rows(table[virtual_pos])[drawn]
 
     accept = std_equality_tester(values_x, values_y, n, eps_inner, lam)
     trace = {

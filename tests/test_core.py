@@ -10,8 +10,10 @@ from probedist.core import (
     BudgetLawError,
     FiniteDistribution,
     ImplicitDistribution,
+    SampleBatch,
     SampleView,
     TesterReport,
+    _merge_rows,
     finish_report,
     new_rng,
     pack_rows,
@@ -64,6 +66,41 @@ def test_pack_rows_keys():
     uniq_rows = np.unique(rows, axis=0).shape[0]
     assert len(set(keys.tolist())) == uniq_rows
     assert (pack_rows(rows) == keys).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_keys_order_rows_like_byte_keys(data):
+    """Bit-packed keys sort, group and merge rows as one-byte-per-bit keys do.
+
+    Widths run 1-200, across the 64-column cut between uint64 and packed-byte
+    keys.  Rows repeat, and half the time they are a base row with a few
+    flipped bits, so rows first differ at any depth, not only in the first
+    byte.  The byte keys are the void views the keys used to be.
+    """
+    width = data.draw(st.integers(1, 200))
+    count = data.draw(st.integers(1, 60))
+    distinct = data.draw(st.integers(1, count))
+    rng = new_rng(data.draw(st.integers(0, 2**32)))
+    if data.draw(st.booleans()):
+        pool = rng.integers(0, 2, size=(distinct, width), dtype=np.uint8)
+    else:
+        pool = np.tile(rng.integers(0, 2, size=width, dtype=np.uint8), (distinct, 1))
+        for row in pool:
+            row[rng.integers(0, width, size=rng.integers(0, 4))] ^= 1
+    rows = pool[rng.integers(0, distinct, size=count)]
+    keys = pack_rows(rows)
+    byte_keys = np.ascontiguousarray(rows).view((np.void, width)).reshape(count)
+    assert keys.dtype == np.uint64 if width <= 64 else keys.dtype.kind == "V"
+    _, inverse = np.unique(keys, return_inverse=True)
+    byte_uniq, byte_inverse = np.unique(byte_keys, return_inverse=True)
+    assert np.array_equal(inverse, byte_inverse)
+    assert np.array_equal(np.argsort(keys, kind="stable"), np.argsort(byte_keys, kind="stable"))
+    weights = rng.random(count)
+    uniq, sums = _merge_rows(rows, weights)
+    assert np.array_equal(uniq, byte_uniq.view(np.uint8).reshape(byte_uniq.size, width))
+    byte_sums = np.bincount(byte_inverse, weights=weights, minlength=byte_uniq.size)
+    assert sums.tobytes() == byte_sums.tobytes()
 
 
 def _merged_reference(rows, weights):
@@ -379,6 +416,56 @@ def test_billing_and_bits_across_draws_and_sources(data):
         assert np.array_equal(vals, strings[src][np.array(idx)[:, None], per_row - 1])
         seen.update((src, i, int(q)) for i, row in zip(idx, per_row) for q in row)
         assert o.queries_used == len(seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batches_in_any_order_bill_pairs_and_read_back_alike(data):
+    """Batches that are not one fresh ``draw`` bill and read like any other.
+
+    A drawn batch is read whole, strictly increasing with gaps
+    (``batch[::2]``), reversed, or with repeated and shuffled samples, and
+    each call is made twice, in either order: with shared 1-d positions and
+    with the equal 2-d positions, one row per sample.  The atom count runs on both sides
+    of the batch length, so the read-back through the table projected on
+    the shared positions and the per-pair gather are both used.  Bills
+    must match a naive set of pairs, and both calls must return the
+    replayed samples' bits.
+    """
+    n = data.draw(st.integers(1, 24))
+    rng = new_rng(data.draw(st.integers(0, 2**32)))
+    atoms = np.unique(rng.integers(0, 2, size=(data.draw(st.integers(1, 8)), n),
+                                   dtype=np.uint8), axis=0)
+    weights = rng.random(len(atoms)) + 0.1
+    weights /= weights.sum()
+    weights[-1] = 1.0 - weights[:-1].sum()
+    seed = data.draw(st.integers(0, 2**32))
+    o = BilledOracle(FiniteDistribution(rows=atoms, weights=weights), seed=seed)
+    batch = o.draw(data.draw(st.integers(1, 12)))
+    strings = atoms[new_rng(seed).choice(len(atoms), size=len(batch), p=weights)]
+    seen = set()
+    for _ in range(data.draw(st.integers(1, 4))):
+        shape = data.draw(st.sampled_from(["whole", "every-other", "reversed", "repeats"]))
+        if shape == "whole":
+            rows = batch.rows
+        elif shape == "every-other":
+            rows = batch[::2].rows
+        elif shape == "reversed":
+            rows = batch.rows[::-1]
+        else:
+            rows = batch.rows[data.draw(
+                st.lists(st.integers(0, len(batch) - 1), min_size=1, max_size=16))]
+        calls = SampleBatch(batch.token, batch.source, rows)
+        width = data.draw(st.integers(1, 2 * n))
+        pos = np.array(data.draw(st.lists(st.integers(1, n), min_size=width, max_size=width)))
+        expected = strings[rows[:, None], pos - 1]
+        seen.update((int(r), int(q)) for r in rows for q in pos)
+        forms = [pos, np.tile(pos, (len(rows), 1))]
+        if data.draw(st.booleans()):
+            forms.reverse()
+        for form in forms:
+            assert np.array_equal(o.query_block(calls, form), expected)
+            assert o.queries_used == len(seen)
 
 
 def _product_source(n, rng):
