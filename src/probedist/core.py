@@ -15,7 +15,13 @@ source (an implicit one with a ``product`` law) keeps no samples at all: a
 draw only counts them, and the bit of a (sample, position) pair is drawn
 from the oracle's generator when the pair is first billed and then kept in
 its ledger cell.  On explicit and product sources, memory and time therefore
-grow with the queries billed, not with samples x n.
+grow with the queries billed, not with samples x n.  Each ledger also keeps a
+frontier, one past the highest sample it ever billed: a read of samples all
+at or past it, such as a read straight after their draw, bills every pair it
+names, so it writes their cells without reading them first.  Rows that count
+up by one, as a draw's do, with ledger columns that do too, as sorted
+positions new to the ledger do, are addressed as one slice of the ledger;
+other reads index it with one flat index per pair.
 
 Randomness: everything runs on numpy's PCG64 generator, with seeds split via
 ``numpy.random.SeedSequence``.  A (seed, parameters) pair therefore fixes
@@ -75,9 +81,11 @@ def random_subset(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
         raise ValueError(f"subset size {size} outside [0, {n}]")
     if size == n:
         return np.arange(1, n + 1, dtype=np.int64)
+    # One call with an array of upper bounds consumes the stream exactly as
+    # one ``rng.integers(1, j + 1)`` call per step j of the loop would.
+    draws = rng.integers(1, np.arange(n - size + 2, n + 2))
     chosen: set[int] = set()
-    for j in range(n - size + 1, n + 1):
-        t = int(rng.integers(1, j + 1))
+    for j, t in zip(range(n - size + 1, n + 1), draws.tolist()):
         chosen.add(j if t in chosen else t)
     return np.array(sorted(chosen), dtype=np.int64)
 
@@ -369,6 +377,17 @@ def _capacity(have: int, need: int) -> int:
     return have if have >= need else max(need, 2 * have)
 
 
+def _run(idx: np.ndarray) -> slice | None:
+    """``idx`` as a slice when it is 1-d and counts up by one from its first
+    entry, as the rows of one draw do; otherwise None."""
+    if idx.ndim != 1 or idx.size == 0:
+        return None
+    first, last = int(idx[0]), int(idx[-1])
+    if last - first != idx.size - 1 or (idx.size > 2 and not (np.diff(idx) == 1).all()):
+        return None
+    return slice(first, last + 1)
+
+
 def _distinct_per_row(cols: np.ndarray) -> bool:
     """True iff no row of ``cols`` (1-d, or 2-d row by row) repeats a value."""
     if cols.shape[-1] < 2:
@@ -386,13 +405,20 @@ class _SourceStore:
     of ledger column j) was billed.  It is a bool, except on a product
     source, where it is a uint8: 0 until the pair is billed, then 1 + the
     pair's bit, drawn at that moment.  ``column[p]`` is 1 + the ledger column
-    of 1-based position p, or 0 while p was never queried.  Only the first
-    ``count`` samples and ``width`` columns are in use; both buffers grow by
-    doubling.
+    of 1-based position p, or 0 while p was never queried; new positions get
+    new columns in sorted order.  Only the first ``count`` samples and
+    ``width`` columns are in use; both buffers grow by doubling.
+
+    ``frontier`` is one past the highest sample row ever billed, so no pair
+    on a row at or past it has been billed.  Ledger cells are addressed
+    through one rule: rows that count up by one, as a draw's do, with 1-d
+    columns that do too, as sorted new positions do, are a slice of the
+    ledger; any other call indexes it flat, one index per pair.
     """
 
     __slots__ = (
-        "source", "rng", "atoms", "product", "samples", "count", "column", "width", "ledger"
+        "source", "rng", "atoms", "product", "samples", "count", "column", "width", "ledger",
+        "frontier",
     )
 
     def __init__(self, source: SampleSource, n: int, rng: np.random.Generator):
@@ -411,6 +437,7 @@ class _SourceStore:
         self.column = np.zeros(n + 1, dtype=np.intp)
         self.width = 0
         self.ledger = np.zeros((0, 0), dtype=bool if self.product is None else np.uint8)
+        self.frontier = 0
 
     def append(self, count: int) -> None:
         if self.atoms is not None:
@@ -450,6 +477,19 @@ class _SourceStore:
             grown[:have_rows, :have_cols] = self.ledger
             self.ledger = grown
 
+    def _cells(self, rows: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, object]:
+        """An array and a key into it such that ``array[key]`` is the
+        (len(rows), width) block of ledger cells of samples ``rows`` at
+        ledger columns ``col`` (1-d shared, or 2-d one row per sample)."""
+        run = _run(rows)
+        cols = _run(col) if run is not None else None
+        if cols is not None:
+            # A view: written and read with no index array at all.
+            return self.ledger, (run, cols)
+        # One flat index per pair: numpy takes and puts through a 1-d index
+        # faster than through two broadcast ones.
+        return self.ledger.reshape(-1), rows[:, None] * self.ledger.shape[1] + col
+
     def bits(self, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """Bits of samples ``rows`` (1-d) at 1-based positions ``pos``: one
         1-d array shared by every sample, or a 2-d one with a row per sample.
@@ -458,10 +498,8 @@ class _SourceStore:
         pair's bit when it bills it, and an unbilled pair reads as 255.
         """
         if self.product is not None:
-            flat = rows[:, None] * self.ledger.shape[1] + (self.column[pos] - 1)
-            bits = self.ledger.reshape(-1)[flat]
-            bits -= 1
-            return bits
+            ledger, key = self._cells(rows, self.column[pos] - 1)
+            return ledger[key] - 1
         if self.atoms is None:
             return self.samples[rows[:, None], pos - 1]
         atoms = self.samples[rows]
@@ -476,37 +514,44 @@ class _SourceStore:
     def bill(self, rows: np.ndarray, pos: np.ndarray, mask=None) -> int:
         """Mark pairs billed and return how many of them were not yet.
 
-        ``rows`` and 1-based ``pos`` broadcast together and name distinct
-        (sample, position) pairs; ``mask``, of their broadcast shape, keeps
-        only some of them.  Positions are mapped to ledger columns here,
-        once per entry of ``pos``.  On a product source each new pair's
-        bit is drawn here.
+        ``rows`` (1-d) and 1-based ``pos`` (1-d shared by every row, or 2-d
+        with a row per sample) name distinct (sample, position) pairs;
+        ``mask``, of their (len(rows), width) shape, keeps only some of them.
+        Positions are mapped to ledger columns here, once per entry of
+        ``pos``.  On a product source each new pair's bit is drawn here, one
+        uniform per pair of the call in pair order.
+
+        A call without a mask whose rows all lie at or past ``frontier``
+        bills every pair, so it writes the cells without reading them.
         """
+        if rows.size == 0:
+            return 0
         col = self.column[pos]
         if np.count_nonzero(col) < col.size:
-            fresh = np.unique(pos[col == 0])
-            self.column[fresh] = np.arange(self.width + 1, self.width + 1 + fresh.size)
-            self.width += fresh.size
+            unmapped = np.unique(pos[col == 0])
+            self.column[unmapped] = np.arange(self.width + 1, self.width + 1 + unmapped.size)
+            self.width += unmapped.size
+            self._fit_ledger()
             col = self.column[pos]
         col -= 1
-        self._fit_ledger()
-        # One flat index per pair: numpy takes and puts through a 1-d index
-        # faster than through two broadcast ones.
-        flat = rows * self.ledger.shape[1] + col
-        cells = self.ledger.reshape(-1)
-        seen = cells[flat]
-        if self.product is None:
-            new = ~seen if mask is None else mask & ~seen
-            cells[flat] = True if mask is None else seen | mask
-            return int(np.count_nonzero(new))
+        ledger, key = self._cells(rows, col)
+        fresh = mask is None and int(rows.min()) >= self.frontier
+        self.frontier = max(self.frontier, int(rows.max()) + 1)
+        drawn = True
+        if self.product is not None:
+            # A pair that is not new keeps its cell and discards its uniform.
+            # Reference bits and rates are gathered per position, not per pair.
+            ref, probs = self.product
+            at = pos - 1
+            drawn = (self.rng.random((rows.size, col.shape[-1])) < probs[at]).view(np.uint8)
+            drawn ^= ref[at]
+            drawn += 1
+        if fresh:
+            ledger[key] = drawn
+            return rows.size * col.shape[-1]
+        seen = ledger[key]
         new = seen == 0 if mask is None else mask & (seen == 0)
-        # One uniform per pair of the call, in pair order; a pair that is
-        # not new keeps its cell and discards its uniform.  Reference bits
-        # and rates are gathered per position, not per pair.
-        ref, probs = self.product
-        at = pos - 1
-        drawn = 1 + (ref[at] ^ (self.rng.random(flat.shape) < probs[at]))
-        cells[flat] = np.where(new, drawn, seen)
+        ledger[key] = np.where(new, drawn, seen)
         return int(np.count_nonzero(new))
 
 
@@ -586,7 +631,12 @@ class BilledOracle:
         touched samples hold no more cells than it has pairs scatters into a
         bitmap over those samples and reads its bits back from a table of
         the same shape; a call without repeats is its own set of pairs; any
-        other call takes ``np.unique`` over flat pair keys.
+        other call takes ``np.unique`` over flat pair keys.  A call without
+        repeats on samples no call has billed yet, as in
+        ``query_block(oracle.draw(s), positions)``, bills all its pairs
+        without reading the ledger.  When its positions are sorted and new to
+        the source, or are such a set of positions again, it addresses the
+        ledger as one slice, not through an index per pair.
         """
         batch = self._as_batch(handles)
         k = len(batch)
@@ -610,16 +660,16 @@ class BilledOracle:
             at = np.searchsorted(touched, rows)[:, None]
             hit[at, pos] = True
             used = np.flatnonzero(hit.any(axis=0))
-            self._queries += store.bill(touched[:, None], used, hit[:, used])
+            self._queries += store.bill(touched, used, hit[:, used])
             table = np.zeros(hit.shape, dtype=np.uint8)
             table[:, used] = store.bits(touched, used)
             return table[at, pos]
         if touched.size == rows.size and _distinct_per_row(pos):
-            self._queries += store.bill(rows[:, None], pos)
+            self._queries += store.bill(rows, pos)
         else:
             stride = self._n + 1
             flat = np.unique((rows[:, None] * stride + pos).ravel())
-            self._queries += store.bill(flat // stride, flat % stride)
+            self._queries += store.bill(flat // stride, (flat % stride)[:, None])
         return store.bits(rows, pos)
 
     def _check_handle(self, handle: SampleHandle) -> None:

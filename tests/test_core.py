@@ -59,6 +59,33 @@ def test_random_subset_properties(n, data):
     assert 1 <= s.min() and s.max() <= n
 
 
+def _floyd_one_call_per_step(rng, n, size):
+    """Floyd's algorithm with one ``rng.integers`` call per step: the
+    reference that ``random_subset`` must match draw for draw."""
+    if size == n:
+        return np.arange(1, n + 1, dtype=np.int64)
+    chosen: set[int] = set()
+    for j in range(n - size + 1, n + 1):
+        t = int(rng.integers(1, j + 1))
+        chosen.add(j if t in chosen else t)
+    return np.array(sorted(chosen), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_random_subset_consumes_the_stream_like_one_call_per_step(data):
+    """One array-bounded ``rng.integers`` call draws what Floyd's loop of
+    scalar calls draws, so subsets and the generator's next draw agree, from
+    n = 1 to 2^40; sizes run up to n while n is small, and crowded subsets
+    resolve many collisions."""
+    n = data.draw(st.one_of(st.integers(1, 512), st.integers(1, 2**40)))
+    size = data.draw(st.integers(0, min(n, 512)))
+    seed = data.draw(st.integers(0, 2**32))
+    fast, slow = new_rng(seed), new_rng(seed)
+    assert np.array_equal(random_subset(fast, n, size), _floyd_one_call_per_step(slow, n, size))
+    assert fast.integers(0, 2**62) == slow.integers(0, 2**62)
+
+
 def test_pack_rows_keys():
     rng = new_rng(3)
     rows = rng.integers(0, 2, size=(64, 13), dtype=np.uint8)
@@ -569,6 +596,157 @@ def test_product_source_matches_the_materialized_sampler():
         assert abs(both - joint) <= 5 * np.sqrt(joint * (1.0 - joint) / count)
     gap_sd = np.sqrt(2.0 * mean * (1.0 - mean) / count)
     assert np.all(np.abs(lazy.mean(axis=0) - rows.mean(axis=0)) <= 5 * gap_sd)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reads_after_a_billed_high_row_bill_pairs_and_bits_alike(data):
+    """A read straight after a draw may skip the ledger only past every row
+    billed so far, whichever path billed it.
+
+    On an explicit, a sampler-backed or a product source, one high row h
+    (with some lower rows) is billed first through ``query``, a sparse call
+    with 1-d or 2-d positions, a call that repeats pairs, or a dense call.
+    Contiguous ``SampleBatch`` reads then start at h, straddle it or follow
+    it, with sorted, unsorted or per-row positions; a read that covers h
+    includes a position billed on h.  Each read is made twice.  Bills must
+    equal a naive pair set, and every pair must read the bit it read first.
+    """
+    n = data.draw(st.integers(3, 24))
+    kind = data.draw(st.sampled_from(["explicit", "sampler", "product"]))
+    rng = new_rng(data.draw(st.integers(0, 2**32)))
+    if kind == "explicit":
+        source = FiniteDistribution.uniform_over(
+            np.unique(rng.integers(0, 2, size=(4, n), dtype=np.uint8), axis=0)
+        )
+    elif kind == "sampler":
+        source = ImplicitDistribution(
+            n, lambda g, c: g.integers(0, 2, size=(c, n), dtype=np.uint8)
+        )
+    else:
+        source = _product_source(n, rng)[0]
+    o = BilledOracle([source], seed=data.draw(st.integers(0, 2**32)))
+    token = o.draw(data.draw(st.integers(1, 6))).token
+    for _ in range(data.draw(st.integers(0, 2))):
+        o.draw(data.draw(st.integers(1, 6)))
+    total = o.samples_drawn[0]
+    known: dict[tuple[int, int], int] = {}
+
+    def read(rows, pos):
+        """Read ``rows`` at ``pos`` twice, checking bits and the bill."""
+        calls = SampleBatch(token, 0, np.asarray(rows, dtype=np.int64))
+        per_row = np.broadcast_to(pos, (len(calls), pos.shape[-1]))
+        first = o.query_block(calls, pos)
+        for r, qs, bits in zip(calls.rows.tolist(), per_row.tolist(), first.tolist()):
+            for q, bit in zip(qs, bits):
+                assert known.setdefault((r, q), bit) == bit
+        assert o.queries_used == len(known)
+        assert np.array_equal(o.query_block(calls, pos), first)
+        assert o.queries_used == len(known)
+
+    h = data.draw(st.integers(0, total - 1))
+    rows = sorted({h, *data.draw(st.lists(st.integers(0, h), max_size=3))})
+    path = data.draw(st.sampled_from(["query", "sparse-1d", "sparse-2d", "repeats", "dense"]))
+    positions = st.integers(1, n)
+    if path == "query":
+        q = data.draw(positions)
+        bit = o.query(SampleBatch(token, 0, np.array([h]))[0], q)
+        known[(h, q)] = bit
+        assert o.queries_used == len(known)
+    elif path == "sparse-1d":
+        read(rows, np.array(data.draw(st.lists(positions, min_size=1, max_size=n - 1,
+                                                unique=True))))
+    elif path == "sparse-2d":
+        width = data.draw(st.integers(1, n - 1))
+        read(rows, np.array([data.draw(st.lists(positions, min_size=width, max_size=width,
+                                                 unique=True)) for _ in rows]))
+    elif path == "repeats":
+        q = data.draw(positions)
+        read([h], np.array([q, q]))
+    else:
+        read(rows, np.array(data.draw(st.lists(positions, min_size=n, max_size=n + 3))))
+    on_h = sorted(q for r, q in known if r == h)
+
+    for _ in range(data.draw(st.integers(1, 4))):
+        where = data.draw(st.sampled_from(["starts-at", "straddles", "follows"]))
+        if where == "follows" and h + 1 < total:
+            start = data.draw(st.integers(h + 1, total - 1))
+        elif where == "straddles" and h > 0:
+            start = data.draw(st.integers(0, h - 1))
+        else:
+            start = h
+        stop = data.draw(st.integers(max(start, h) + 1, total))
+        width = data.draw(st.integers(1, n))
+        pos = data.draw(st.lists(positions, min_size=width, max_size=width, unique=True))
+        if start <= h and not set(pos) & set(on_h):
+            pos[-1] = data.draw(st.sampled_from(on_h))
+            pos = list(dict.fromkeys(pos))
+        form = data.draw(st.sampled_from(["sorted", "unsorted", "per-row"]))
+        if form == "sorted":
+            pos = np.sort(pos)
+        elif form == "unsorted":
+            pos = np.array(pos)
+        else:
+            pos = np.array([data.draw(st.permutations(pos)) for _ in range(start, stop)])
+        read(np.arange(start, stop), pos)
+    for (r, q), bit in known.items():
+        assert o.query(SampleBatch(token, 0, np.array([r]))[0], q) == bit
+    assert o.queries_used == len(known)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fresh_product_reads_draw_one_uniform_per_pair_in_pair_order(data):
+    """On a fresh product oracle, ``query_block(o.draw(k), pos)`` reads
+    ref[pos - 1] ^ (uniform < probs[pos - 1]), one uniform per pair in pair
+    order, off the oracle's own stream: for distinct 1-d positions (sorted,
+    or any order below n), and for one position per sample, the form
+    ``_MajorityView`` reads.  A second draw and read continue the stream.
+    """
+    n = data.draw(st.integers(1, 24))
+    dist, ref, probs = _product_source(n, new_rng(data.draw(st.integers(0, 2**32))))
+    seed = data.draw(st.integers(0, 2**32))
+    o = BilledOracle([dist], seed=seed)
+    replay = new_rng(seed)
+    billed = 0
+    for _ in range(data.draw(st.integers(1, 2))):
+        k = data.draw(st.integers(1, 8))
+        if data.draw(st.booleans()):
+            width = data.draw(st.integers(1, n))
+            pos = random_subset(new_rng(data.draw(st.integers(0, 2**32))), n, width)
+            if width < n and data.draw(st.booleans()):
+                pos = np.array(data.draw(st.permutations(pos.tolist())))
+        else:
+            pos = np.array(data.draw(st.lists(st.integers(1, n), min_size=k, max_size=k)))
+            pos = pos[:, None]
+        expected = ref[pos - 1] ^ (replay.random((k, pos.shape[-1])) < probs[pos - 1])
+        assert np.array_equal(o.query_block(o.draw(k), pos), expected)
+        billed += expected.size
+        assert o.queries_used == billed
+
+
+def test_fresh_explicit_read_peaks_under_four_bytes_per_pair():
+    """A read straight after its draw bills through ledger slices.
+
+    20,000 samples x 300 sorted positions of an n = 4096 explicit source:
+    the ledger block and the bits returned take one byte per pair each.  An
+    int64 index per pair, as the ledger's gathers and scatters took before,
+    would add eight.
+    """
+    n, count, width = 4096, 20_000, 300
+    atoms = new_rng(7).integers(0, 2, size=(8, n), dtype=np.uint8)
+    o = BilledOracle([FiniteDistribution.uniform_over(atoms)], seed=8)
+    positions = random_subset(new_rng(9), n, width)
+    tracemalloc.start()
+    try:
+        bits = o.query_block(o.draw(count), positions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert o.queries_used == count * width
+    drawn = new_rng(8).choice(len(atoms), size=count, p=np.full(len(atoms), 1 / len(atoms)))
+    assert np.array_equal(bits, atoms[drawn][:, positions - 1])
+    assert peak < 4 * count * width
 
 
 def test_noisy_membership_memory_follows_queries_not_n():
