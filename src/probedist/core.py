@@ -5,7 +5,10 @@ sample: it draws opaque handles from a :class:`BilledOracle` and pays one unit
 per distinct (handle, position) pair it inspects.  Repeat inspections of a
 pair are free, and two handles are billed separately even when the underlying
 strings happen to be equal.  Positions are 1-based, so a string x reads
-x_1 ... x_n and querying position n+1 is an error.
+x_1 ... x_n and querying position n+1 is an error.  An oracle is the reader
+that the string testers of :mod:`probedist.strings` read through: anything
+with ``n`` and ``query_block(batch, positions)`` returning the bits of each
+sample of the batch at the positions, one row per sample.
 
 Storage: for each source the oracle keeps a billing ledger, a matrix of
 samples x the distinct positions ever queried on that source, and beside it
@@ -45,7 +48,6 @@ __all__ = [
     "SampleSource",
     "SampleHandle",
     "SampleBatch",
-    "SampleView",
     "BilledOracle",
     "TesterReport",
     "new_rng",
@@ -609,14 +611,7 @@ class BilledOracle:
 
     def query(self, handle: SampleHandle, position: int) -> int:
         """Reveal bit ``position`` (1-based) of the sample behind ``handle``."""
-        self._check_handle(handle)
-        if not 1 <= position <= self._n:
-            raise ValueError(f"position {position} outside [1, {self._n}]")
-        store = self._stores[handle.source]
-        rows = np.array([handle.row])
-        pos = np.array([position])
-        self._queries += store.bill(rows, pos)
-        return int(store.bits(rows, pos)[0, 0])
+        return int(self.query_block([handle], [position])[0, 0])
 
     def query_block(self, handles, positions) -> np.ndarray:
         """Reveal bits of several handles at once.
@@ -627,7 +622,7 @@ class BilledOracle:
         (handle, position) pair, duplicates inside the call included.
 
         The call is first reduced to its distinct pairs, which are then
-        billed as in ``query``, and read back once billed.  A call whose
+        billed, and read back once billed.  A call whose
         touched samples hold no more cells than it has pairs scatters into a
         bitmap over those samples and reads its bits back from a table of
         the same shape; a call without repeats is its own set of pairs; any
@@ -700,29 +695,6 @@ class BilledOracle:
         return SampleBatch(
             self._token, source, np.array([h.row for h in handles], dtype=np.int64)
         )
-
-
-@dataclass(frozen=True)
-class SampleView:
-    """Single-sample query window handed to string testers.
-
-    Wraps (oracle, handle) so a string tester can probe one sample without
-    seeing the oracle's other samples.  All billing flows through the oracle.
-    """
-
-    oracle: BilledOracle
-    handle: SampleHandle
-
-    @property
-    def n(self) -> int:
-        return self.oracle.n
-
-    def query(self, position: int) -> int:
-        return self.oracle.query(self.handle, position)
-
-    def query_block(self, positions) -> np.ndarray:
-        pos = np.asarray(positions, dtype=np.int64)
-        return self.oracle.query_block([self.handle], pos[None, :])[0]
 
 
 @dataclass(frozen=True)

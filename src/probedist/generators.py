@@ -258,6 +258,8 @@ def iso_copies_dist(adjacency) -> FiniteDistribution:
     that coincide (automorphisms) merge into heavier atoms, each weighing
     its count of relabelings over v!.  At most ``MAX_VERTICES`` vertices.
     """
+    if isinstance(adjacency, str):
+        adjacency = _as_bit_array(adjacency)
     arr = np.asarray(adjacency, dtype=np.uint8)
     if arr.ndim == 1:
         v = math.isqrt(arr.size)

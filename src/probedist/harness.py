@@ -74,7 +74,8 @@ def _checked_params(params: dict, schema: dict, what: str) -> dict:
     unknown or missing param, or a value that does not convert to its type,
     is a ValueError naming the param.  Type ``object`` takes any value as
     it is; a bool param must be a JSON boolean, because bool("false") is
-    True.
+    True; an int param takes no float with a fractional part, which int()
+    would truncate.
     """
     unknown = sorted(set(params) - set(schema))
     if unknown:
@@ -90,6 +91,8 @@ def _checked_params(params: dict, schema: dict, what: str) -> dict:
         else:
             try:
                 if kind is bool and not isinstance(params[name], bool):
+                    raise TypeError
+                if kind is int and isinstance(params[name], float) and params[name] % 1:
                     raise TypeError
                 kw[name] = kind(params[name])
             except (TypeError, ValueError):

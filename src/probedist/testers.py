@@ -24,7 +24,6 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS, Constants
 from .core import (
     BilledOracle,
-    SampleView,
     TesterReport,
     finish_report,
     new_rng,
@@ -227,16 +226,7 @@ def _judge_samples(oracle, batch, tester, prox, rng, repeats) -> np.ndarray:
     One-sided testers reject a sample as soon as any run fails (their
     failures are conclusive); two-sided ones go by strict majority.
     """
-    if hasattr(tester, "test_batch"):
-        ok = tester.test_batch(oracle, batch, prox, rng, repeats)
-    else:
-        ok = np.array(
-            [
-                [tester.test(SampleView(oracle, h), prox, rng) for _ in range(repeats)]
-                for h in batch
-            ],
-            dtype=bool,
-        ).reshape(len(batch), repeats)
+    ok = tester.test_batch(oracle, batch, prox, rng, repeats)
     if tester.one_sided:
         return ~ok.all(axis=1)
     return (~ok).sum(axis=1) * 2 > repeats
@@ -272,9 +262,9 @@ def membership_tester(
         t = math.ceil(constants.membership_samples / eps)
         r = _odd(math.ceil(constants.amplification * _ln1p(1.0 / eps)))
         prox = eps / 2.0
+        bound = t * r * string_tester.query_budget(n, prox)
         batch = oracle.draw(t)
         rejected = _judge_samples(oracle, batch, string_tester, prox, rng, r)
-        bound = t * r * string_tester.query_budget(n, prox)
         trace = {
             "tester": "membership",
             "params": {"eps": eps, "mode": mode},
@@ -561,17 +551,17 @@ def perturbation_tester(
 
 
 class _MajorityView:
-    """Virtual string view: each queried bit is a fresh-sample majority.
+    """Reader of virtual samples whose bits are fresh-sample majorities.
 
-    Emulates query access to the perturbed family's reference string by
-    drawing ``repeats`` fresh samples per query (repeats kept odd, so there
-    are no ties) and returning the majority bit at that position.
+    Emulates query access to the perturbed family's reference string: every
+    row of a batch reads as that string, each queried bit being the majority
+    of ``repeats`` fresh samples at that position (repeats kept odd, so
+    there are no ties).
     """
 
-    def __init__(self, oracle: BilledOracle, repeats: int, rng: np.random.Generator):
+    def __init__(self, oracle: BilledOracle, repeats: int):
         self._oracle = oracle
         self._repeats = _odd(repeats)
-        self._rng = rng
         self.calls = 0
 
     @property
@@ -582,21 +572,23 @@ class _MajorityView:
     def repeats(self) -> int:
         return self._repeats
 
-    def query(self, position: int) -> int:
-        return int(self.query_block([position])[0])
+    def query_block(self, batch, positions) -> np.ndarray:
+        """Majority bits of the rows of ``batch`` at ``positions`` (shared
+        1-d or one row per batch row), (len(batch), width) uint8.
 
-    def query_block(self, positions) -> np.ndarray:
-        """One draw of ``repeats`` fresh samples per position, read in one
+        One draw of ``repeats`` fresh samples per queried bit, read in one
         call with one position per sample: the pairs, and on a product
-        source their bits, come in the order of one query per position."""
-        pos = np.asarray(positions, dtype=np.int64).ravel()
+        source their bits, come in row-major order of the queried bits.
+        """
+        pos = np.asarray(positions, dtype=np.int64)
+        pos = np.broadcast_to(pos, (len(batch), pos.shape[-1]))
         if pos.size == 0:
-            return np.empty(0, dtype=np.uint8)
-        batch = self._oracle.draw(pos.size * self._repeats)
-        bits = self._oracle.query_block(batch, np.repeat(pos, self._repeats)[:, None])
+            return np.empty(pos.shape, dtype=np.uint8)
+        draws = self._oracle.draw(pos.size * self._repeats)
+        bits = self._oracle.query_block(draws, np.repeat(pos.ravel(), self._repeats)[:, None])
         self.calls += pos.size
         votes = bits.reshape(pos.size, self._repeats).sum(axis=1, dtype=np.int64)
-        return (2 * votes > self._repeats).astype(np.uint8)
+        return (2 * votes > self._repeats).astype(np.uint8).reshape(pos.shape)
 
 
 def noisy_membership_tester(
@@ -617,10 +609,10 @@ def noisy_membership_tester(
     query budget.  Accept iff both parts accept.
     """
     _check_eps(eps)
+    q = string_tester.query_budget(oracle.n, eps / 2.0)
     rng = new_rng(seed)
     rng_family, rng_emulate = rng.spawn(2)
     part1 = perturbation_tester(oracle, eta, delta, eps / 2.0, rng_family, constants)
-    q = string_tester.query_budget(oracle.n, eps / 2.0)
     r = _odd(math.ceil(constants.noisy_majority * _ln1p(q)))
     trace = {
         "tester": "noisy-membership",
@@ -634,8 +626,8 @@ def noisy_membership_tester(
             "exact", part1.queries_used, "family_stage only (rejected before emulation)"
         )
         return finish_report(oracle, False, trace)
-    view = _MajorityView(oracle, r, rng_emulate)
-    ok = bool(string_tester.test(view, eps / 2.0, rng_emulate))
+    view = _MajorityView(oracle, r)
+    ok = bool(string_tester.test_batch(view, range(1), eps / 2.0, rng_emulate).all())
     trace["emulated_queries"] = view.calls
     trace["budget"] = _budget(
         "exact",
@@ -864,7 +856,7 @@ def graph_copies_tester(
     reads.  The isomorphism tester reads both
     matrices fully and compares canonical relabelings exactly, which is
     correct, one-sided, and pays at most n per distinct sample thanks to
-    per-handle caching.
+    per-sample caching.
     """
     _check_eps(eps)
     n = oracle.n
@@ -874,12 +866,12 @@ def graph_copies_tester(
     iso = ExactIsomorphismTester()
     rng = new_rng(seed)
     t = max(2, math.ceil(constants.ideal_samples / eps))
-    ref_view = SampleView(oracle, oracle.draw(1)[0])
+    ref = oracle.draw(1)
     mismatch = False
     checked = 0
     for _ in range(t - 1):
         checked += 1
-        if not iso.test(ref_view, SampleView(oracle, oracle.draw(1)[0]), eps, rng):
+        if not iso.test(oracle, ref, oracle.draw(1), eps, rng):
             mismatch = True
             break
     trace = {

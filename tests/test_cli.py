@@ -128,6 +128,24 @@ class TestRunCommand:
         assert len(lines) == 6
         assert all(line.split(",")[2] == "accept" for line in lines[1:])
 
+    @pytest.mark.parametrize("tester_params", [{"m": 2.0, "eps": 0.5}, {"m": 2, "eps": 0.5}])
+    def test_integral_float_int_param_runs_as_int(self, tmp_path, tester_params):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(_spec_dict(tester_params=tester_params)))
+        out = tmp_path / "report.json"
+        assert cli.main(["run", str(spec_path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["aggregates"]["accept_rate"] == 1.0
+
+    def test_graph_copies_source_takes_a_row_major_bit_string(self, tmp_path):
+        spec = _spec_dict(tester="graph-copies", tester_params={"eps": 0.5},
+                          sources=[{"kind": "graph-copies", "params": {"adjacency": "0110"}}])
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "report.json"
+        assert cli.main(["run", str(spec_path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["aggregates"]["accept_rate"] == 1.0
+
     def test_run_missing_spec_file(self, tmp_path, capsys):
         rc = cli.main(["run", str(tmp_path / "absent.json")])
         assert rc == 2
@@ -154,9 +172,23 @@ class TestRunCommand:
             (_spec_dict(tester_params={"m": 2, "eps": 0.5, "epz": 1}), [],
              "unknown tester param 'epz'"),
             (_spec_dict(tester_params={"eps": 0.5}), [], "missing tester param 'm'"),
+            (_spec_dict(tester_params={"m": 4.5, "eps": 0.5}), [],
+             "tester param 'm' must be int, got 4.5"),
+            (_spec_dict(tester_params={"m": 2, "eps": 1e-300}), [], ""),
+            (_spec_dict(tester="graph-copies", tester_params={"eps": 0.5},
+                        sources=[{"kind": "graph-copies", "params": {"adjacency": "01101"}}]),
+             [], "adjacency string must have square length"),
+            (_spec_dict(tester="noisy-membership",
+                        tester_params={"property": "linearity", "eta": 0.1, "delta": 0.3,
+                                       "eps": 0.5},
+                        sources=[{"kind": "coordinate-noise",
+                                  "params": {"x": "011", "flip_probs": [0.05] * 3}}]),
+             [], "linearity testing needs n = 2^k"),
         ],
         ids=["unknown-key", "list-spec", "workers-0", "trials-0", "trials-string",
-             "sources-object", "source-string", "unknown-param", "missing-param"],
+             "sources-object", "source-string", "unknown-param", "missing-param",
+             "int-param-fraction", "eps-overflow", "adjacency-not-square",
+             "linearity-n-3"],
     )
     def test_bad_spec_is_a_usage_error(self, tmp_path, capsys, spec, extra, message):
         spec_path = tmp_path / "spec.json"

@@ -11,7 +11,6 @@ from probedist.core import (
     FiniteDistribution,
     ImplicitDistribution,
     SampleBatch,
-    SampleView,
     TesterReport,
     _merge_rows,
     finish_report,
@@ -790,16 +789,6 @@ def test_support_trial_memory_follows_queries_not_n():
     assert report.accepted
     assert report.queries_used == 165_120
     assert peak < 64 * 2**20
-
-
-def test_sample_view():
-    p = FiniteDistribution.point("0101")
-    o = BilledOracle([p], seed=0)
-    (h,) = o.draw(1)
-    view = SampleView(o, h)
-    assert view.query(2) == 1
-    assert np.array_equal(view.query_block(np.array([1, 2])), np.array([0, 1]))
-    assert o.queries_used == 2
 
 
 def test_tester_report():

@@ -7,13 +7,16 @@ import pytest
 from probedist.core import BilledOracle, FiniteDistribution, new_rng
 from probedist.generators import (
     coordinate_noise_dist,
+    hadamard_code,
     iso_copies_dist,
     mixture,
     perturb_dist,
     shift_dist,
 )
-from probedist.strings import ConstantTester
+from probedist.harness import wilson_interval
+from probedist.strings import ConstantTester, LinearityTester
 from probedist.testers import (
+    _MajorityView,
     cyclic_shift_tester,
     graph_copies_tester,
     noisy_membership_tester,
@@ -132,6 +135,54 @@ class TestNoisyMembership:
             assert rep.trace["budget"]["value"] == (
                 rep.trace["family_stage"]["budget"]["value"] + r * emulated
             )
+
+
+    @pytest.mark.parametrize("member", [True, False], ids=["codeword", "bent"])
+    def test_linearity_property_monte_carlo(self, member):
+        """Noisy membership in linearity through the majority reader: a
+        Hadamard codeword under 2% coordinate noise accepts, and the bent
+        table x0x1 + x2x3 + x4x5 (distance 28/64 from every linear table)
+        under the same noise rejects; the budget is exact in every trial."""
+        if member:
+            x = hadamard_code(6).encode([1, 0, 1, 1, 0, 1])
+        else:
+            b = [(np.arange(64) >> i) & 1 for i in range(6)]
+            x = (b[0] & b[1]) ^ (b[2] & b[3]) ^ (b[4] & b[5])
+        p = coordinate_noise_dist(_bits_to_str(x), np.full(64, 0.02))
+        trials, correct = 30, 0
+        for s in range(trials):
+            rep = noisy_membership_tester(
+                BilledOracle([p], seed=s), LinearityTester(), 0.1, 0.3, 0.5, seed=500 + s
+            )
+            assert rep.queries_used == rep.trace["budget"]["value"]
+            if "emulated_queries" in rep.trace:
+                assert rep.trace["emulated_queries"] == rep.trace["sizes"]["tester_budget"]
+            correct += rep.accepted == member
+        assert wilson_interval(correct, trials)[0] >= 2 / 3
+
+    def test_linearity_needs_power_of_two_before_any_draw(self):
+        oracle = BilledOracle([coordinate_noise_dist("011", np.full(3, 0.05))], seed=0)
+        with pytest.raises(ValueError, match="n = 2"):
+            noisy_membership_tester(oracle, LinearityTester(), 0.1, 0.3, 0.5, seed=0)
+        assert oracle.samples_drawn == (0,)
+
+    def test_majority_reader_reads_a_run_in_one_draw(self):
+        """On a product source, reading [1, p_1 ... p_R] as one row gives the
+        bits, bill and sample count of two reads, [1] and then the rest."""
+        p = coordinate_noise_dist("1" * 64, np.full(64, 0.3))
+        positions = np.concatenate([[1], new_rng(2).integers(1, 65, size=16)])
+        one = _MajorityView(BilledOracle([p], seed=9), 5)
+        two = _MajorityView(BilledOracle([p], seed=9), 5)
+        bits = one.query_block(range(1), positions[None, :])
+        split = np.concatenate(
+            [two.query_block(range(1), positions[None, :1]),
+             two.query_block(range(1), positions[None, 1:])], axis=1
+        )
+        assert bits.shape == (1, 17) and np.array_equal(bits, split)
+        for view in (one, two):
+            assert view._oracle.queries_used == 5 * 17
+            assert view._oracle.samples_drawn == (5 * 17,)
+            assert view.calls == 17
 
 
 class TestCyclicShiftTester:

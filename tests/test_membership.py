@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from probedist.constants import DEFAULT_CONSTANTS
-from probedist.core import BilledOracle, FiniteDistribution, SampleView, new_rng
+from probedist.core import BilledOracle, FiniteDistribution, new_rng
 from probedist.generators import code_lift, hadamard_code, mixture
+from probedist.harness import wilson_interval
 from probedist.std_testers import SupportInner
 from probedist.strings import (
     ConstantTester,
@@ -40,9 +41,17 @@ def _bent_table_6() -> np.ndarray:
     return ((b[0] & b[1]) ^ (b[2] & b[3]) ^ (b[4] & b[5])).astype(np.uint8)
 
 
-def _view_of(bits, seed=0):
+def _sample_of(bits, seed=0):
+    """An oracle over the point mass on ``bits`` and a 1-sample batch of it."""
     oracle = BilledOracle([FiniteDistribution.point(_bits_to_str(bits))], seed=seed)
-    return oracle, SampleView(oracle, oracle.draw(1)[0])
+    return oracle, oracle.draw(1)
+
+
+def _passes(tester, oracle, batch, eps, seed) -> bool:
+    """One run of ``tester`` on the single sample of ``batch``."""
+    ok = tester.test_batch(oracle, batch, eps, new_rng(seed))
+    assert ok.shape == (1, 1)
+    return bool(ok[0, 0])
 
 
 def _codeword_dist(k: int, messages) -> FiniteDistribution:
@@ -68,9 +77,9 @@ class TestLinearityTester:
     def test_accepts_exact_linear_tables(self):
         t = LinearityTester()
         for coeff in [0, 1, 19, 63]:
-            _, view = _view_of(_linear_table(6, coeff), seed=coeff)
+            oracle, batch = _sample_of(_linear_table(6, coeff), seed=coeff)
             for s in range(5):
-                assert t.test(view, 0.25, new_rng(s))
+                assert _passes(t, oracle, batch, 0.25, s)
 
     def test_rejects_maximally_nonlinear_table(self):
         bent = _bent_table_6()
@@ -79,8 +88,8 @@ class TestLinearityTester:
         nearest = (tables != bent[:, None]).mean(axis=0).min()
         assert nearest >= 0.4
         t = LinearityTester()
-        _, view = _view_of(bent)
-        rejects = sum(not t.test(view, 0.25, new_rng(s)) for s in range(50))
+        oracle, batch = _sample_of(bent)
+        rejects = sum(not _passes(t, oracle, batch, 0.25, s) for s in range(50))
         assert rejects >= 45
 
     def test_query_budget(self):
@@ -88,9 +97,12 @@ class TestLinearityTester:
         assert t.query_budget(64, 0.25) == 3 * math.ceil(3.0 / 0.25)
 
     def test_needs_power_of_two_length(self):
-        _, view = _view_of(np.zeros(12, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            LinearityTester().test(view, 0.5, new_rng(0))
+        oracle, batch = _sample_of(np.zeros(12, dtype=np.uint8))
+        with pytest.raises(ValueError, match="n = 2"):
+            LinearityTester().query_budget(12, 0.5)
+        with pytest.raises(ValueError, match="n = 2"):
+            LinearityTester().test_batch(oracle, batch, 0.5, new_rng(0))
+        assert oracle.queries_used == 0
 
     def test_batch_all_pass_on_members(self):
         p = _codeword_dist(6, ["110000", "100010", "001101", "111100"])
@@ -118,30 +130,51 @@ class TestConstantTester:
     def test_accepts_constant_strings(self):
         t = ConstantTester()
         for bits in [np.zeros(32, np.uint8), np.ones(32, np.uint8)]:
-            _, view = _view_of(bits)
-            assert all(t.test(view, 0.25, new_rng(s)) for s in range(10))
+            oracle, batch = _sample_of(bits)
+            assert all(_passes(t, oracle, batch, 0.25, s) for s in range(10))
 
     def test_rejects_balanced_string(self):
         t = ConstantTester()
         bits = np.arange(32) % 2
-        _, view = _view_of(bits)
-        rejects = sum(not t.test(view, 0.25, new_rng(s)) for s in range(30))
+        oracle, batch = _sample_of(bits)
+        rejects = sum(not _passes(t, oracle, batch, 0.25, s) for s in range(30))
         assert rejects >= 28
 
     def test_query_budget(self):
         assert ConstantTester().query_budget(100, 0.25) == 1 + math.ceil(4.0 / 0.25)
+
+    def test_batch_reads_position_one_with_each_run_in_one_call(self):
+        """Each run reads [1, p_1 ... p_R] in one query_block call; a sample
+        whose other bits all differ from bit 1 fails every run."""
+        oracle = BilledOracle([FiniteDistribution.uniform_over(["0" + "1" * 31, "1" * 32])], 0)
+        batch = oracle.draw(6)
+        calls = []
+        real = oracle.query_block
+
+        def recording(b, pos):
+            calls.append(np.asarray(pos))
+            return real(b, pos)
+
+        oracle.query_block = recording
+        t, eps, repeats = ConstantTester(), 0.25, 3
+        ok = t.test_batch(oracle, batch, eps, new_rng(1), repeats=repeats)
+        width = t.query_budget(32, eps)
+        assert len(calls) == 1 and calls[0].shape == (6, repeats * width)
+        assert (calls[0].reshape(6, repeats, width)[..., 0] == 1).all()
+        first = oracle.query_block(batch, [1])[:, 0]
+        assert np.array_equal(ok, np.repeat((first == 1)[:, None], repeats, axis=1))
 
 
 class TestFullReadTester:
     def test_exact_membership_and_cost(self):
         even_parity = lambda bits: int(np.sum(bits)) % 2 == 0
         t = FullReadTester(contains=even_parity)
-        oracle, view = _view_of(np.array([1, 1, 0, 0], np.uint8))
-        assert t.test(view, 0.5, new_rng(0))
+        oracle, batch = _sample_of(np.array([1, 1, 0, 0], np.uint8))
+        assert t.test_batch(oracle, batch, 0.5, new_rng(0), repeats=3).tolist() == [[True] * 3]
         assert oracle.queries_used == 4
         assert t.query_budget(4, 0.5) == 4
-        _, view_odd = _view_of(np.array([1, 0, 0, 0], np.uint8))
-        assert not t.test(view_odd, 0.5, new_rng(0))
+        oracle_odd, batch_odd = _sample_of(np.array([1, 0, 0, 0], np.uint8))
+        assert not _passes(t, oracle_odd, batch_odd, 0.5, 0)
 
 
 def _adj_string(v: int, edges, perm=None) -> str:
@@ -154,65 +187,64 @@ def _adj_string(v: int, edges, perm=None) -> str:
 
 
 class TestExactIsomorphismTester:
-    def _views(self, sa: str, sb: str):
+    def _samples(self, sa: str, sb: str):
         oracle = BilledOracle(
             [FiniteDistribution.point(sa), FiniteDistribution.point(sb)], seed=0
         )
-        va = SampleView(oracle, oracle.draw(1, source=0)[0])
-        vb = SampleView(oracle, oracle.draw(1, source=1)[0])
-        return oracle, va, vb
+        return oracle, oracle.draw(1, source=0), oracle.draw(1, source=1)
 
     def test_accepts_relabeled_path(self):
         path = [(0, 1), (1, 2), (2, 3)]
         sa = _adj_string(4, path)
         sb = _adj_string(4, path, perm=[2, 0, 3, 1])
-        _, va, vb = self._views(sa, sb)
-        assert ExactIsomorphismTester().test(va, vb, 0.5, new_rng(0))
+        oracle, a, b = self._samples(sa, sb)
+        assert ExactIsomorphismTester().test(oracle, a, b, 0.5, new_rng(0))
 
     def test_rejects_path_vs_star(self):
         sa = _adj_string(4, [(0, 1), (1, 2), (2, 3)])
         sb = _adj_string(4, [(0, 1), (0, 2), (0, 3)])
-        _, va, vb = self._views(sa, sb)
-        assert not ExactIsomorphismTester().test(va, vb, 0.5, new_rng(0))
+        oracle, a, b = self._samples(sa, sb)
+        assert not ExactIsomorphismTester().test(oracle, a, b, 0.5, new_rng(0))
 
     def test_canonical_forms_are_cached(self):
         sa = _adj_string(4, [(0, 1), (1, 2), (2, 3)])
-        oracle, va, vb = self._views(sa, sa)
+        oracle, a, b = self._samples(sa, sa)
         t = ExactIsomorphismTester()
-        t.test(va, vb, 0.5, new_rng(0))
+        t.test(oracle, a, b, 0.5, new_rng(0))
         spent = oracle.queries_used
         assert spent == 32
-        assert t.test(va, vb, 0.5, new_rng(1))
+        assert t.test(oracle, a, b, 0.5, new_rng(1))
         assert oracle.queries_used == spent
 
     def test_cache_keeps_only_the_current_oracle(self):
         sa = _adj_string(4, [(0, 1), (1, 2), (2, 3)])
         t = ExactIsomorphismTester()
         for _ in range(50):
-            _, va, vb = self._views(sa, sa)
-            assert t.test(va, vb, 0.5, new_rng(0))
+            oracle, a, b = self._samples(sa, sa)
+            assert t.test(oracle, a, b, 0.5, new_rng(0))
             assert len(t._cache) == 2
 
     def test_rejects_non_square_length(self):
-        _, view = _view_of(np.zeros(12, np.uint8))
+        oracle, batch = _sample_of(np.zeros(12, np.uint8))
         with pytest.raises(ValueError):
-            ExactIsomorphismTester()._canonical(view)
+            ExactIsomorphismTester()._canonical(oracle, batch)
 
     def test_vertex_cap(self):
-        _, view = _view_of(np.zeros(64, np.uint8))
+        oracle, batch = _sample_of(np.zeros(64, np.uint8))
         with pytest.raises(ValueError):
-            ExactIsomorphismTester()._canonical(view)
-        assert ExactIsomorphismTester(max_vertices=8)._canonical(view)
+            ExactIsomorphismTester()._canonical(oracle, batch)
+        assert ExactIsomorphismTester(max_vertices=8)._canonical(oracle, batch)
 
 
 class TestHadamardCorrector:
     def test_recovers_exact_member_bits(self):
         table = _linear_table(6, 37)
-        _, view = _view_of(table)
+        oracle, batch = _sample_of(table)
         c = HadamardCorrector()
         rng = new_rng(3)
         for pos in range(1, 65):
-            assert c.correct(view, pos, rng) == int(table[pos - 1])
+            got = c.correct_batch(oracle, batch, [pos], rng, repeats=1)
+            assert got[0, 0] == int(table[pos - 1])
 
     def test_batch_recovers_nearest_codeword_under_noise(self):
         table = _linear_table(6, 41)
@@ -337,6 +369,29 @@ class TestMembershipTester:
         assert rejects == 10
         # every sample is blatantly far, so the first round already rejects
         assert max(spent) < rep.trace["budget"]["value"] / 4
+
+    @pytest.mark.parametrize("mode", ["plain", "staged"])
+    @pytest.mark.parametrize(
+        "strings, member",
+        [(["0" * 64, "1" * 64], True), (["01" * 32, "0011" * 16], False)],
+        ids=["constant", "balanced"],
+    )
+    def test_constant_property_monte_carlo(self, mode, strings, member):
+        """membership_tester(ConstantTester()) accepts a mixture of constant
+        strings and rejects one of balanced strings, which are 1/2-far from
+        constant; the budget law holds in every trial."""
+        p = FiniteDistribution.uniform_over(strings)
+        trials, correct = 30, 0
+        for s in range(trials):
+            rep = membership_tester(
+                BilledOracle([p], seed=s), ConstantTester(), 0.25, seed=1000 + s, mode=mode
+            )
+            assert rep.trace["budget"]["kind"] == "bound"
+            assert sum(rep.samples_used) <= rep.queries_used <= rep.trace["budget"]["value"]
+            correct += rep.accepted == member
+        if member:
+            assert correct == trials  # one-sided
+        assert wilson_interval(correct, trials)[0] >= 2 / 3
 
     def test_unknown_mode(self):
         p = _codeword_dist(6, ["110000"])
