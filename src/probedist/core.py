@@ -61,6 +61,10 @@ WEIGHT_TOL = 1e-12
 
 _oracle_tokens = itertools.count(1)
 
+# A dense ``query_block`` call builds its flat pair index in row chunks of at
+# most this many pairs, which bounds the index's memory.
+_DENSE_CHUNK_PAIRS = 1 << 16
+
 
 def new_rng(seed) -> np.random.Generator:
     """Return a PCG64 generator for ``seed``.
@@ -390,6 +394,16 @@ def _run(idx: np.ndarray) -> slice | None:
     return slice(first, last + 1)
 
 
+def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of 1-d ``keys`` in ascending order, as
+    ``np.unique`` gives them, by a sort and an adjacent-difference mask."""
+    keys = np.sort(keys)
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def _distinct_per_row(cols: np.ndarray) -> bool:
     """True iff no row of ``cols`` (1-d, or 2-d row by row) repeats a value."""
     if cols.shape[-1] < 2:
@@ -625,8 +639,11 @@ class BilledOracle:
         billed, and read back once billed.  A call whose
         touched samples hold no more cells than it has pairs scatters into a
         bitmap over those samples and reads its bits back from a table of
-        the same shape; a call without repeats is its own set of pairs; any
-        other call takes ``np.unique`` over flat pair keys.  A call without
+        the same shape, both through one flat int64 index per pair (the
+        row's offset in the bitmap plus the position), built in row chunks
+        of at most ``_DENSE_CHUNK_PAIRS`` pairs; a call without repeats is
+        its own set of pairs; any other call sorts flat pair keys and drops
+        adjacent repeats.  A call without
         repeats on samples no call has billed yet, as in
         ``query_block(oracle.draw(s), positions)``, bills all its pairs
         without reading the ledger.  When its positions are sorted and new to
@@ -649,23 +666,48 @@ class BilledOracle:
         increasing = rows.size < 2 or bool((rows[1:] > rows[:-1]).all())
         touched = rows if increasing else np.unique(rows)
         if touched.size * self._n <= rows.size * pos.shape[-1]:
-            # The bitmap, and the bit table read back through it, leave
-            # column 0 unused, so the caller's positions index them as is.
-            hit = np.zeros((touched.size, self._n + 1), dtype=bool)
-            at = np.searchsorted(touched, rows)[:, None]
-            hit[at, pos] = True
-            used = np.flatnonzero(hit.any(axis=0))
-            self._queries += store.bill(touched, used, hit[:, used])
-            table = np.zeros(hit.shape, dtype=np.uint8)
-            table[:, used] = store.bits(touched, used)
-            return table[at, pos]
+            return self._query_dense(store, rows, touched, increasing, pos)
         if touched.size == rows.size and _distinct_per_row(pos):
             self._queries += store.bill(rows, pos)
         else:
             stride = self._n + 1
-            flat = np.unique((rows[:, None] * stride + pos).ravel())
+            flat = _distinct_sorted((rows[:, None] * stride + pos).ravel())
             self._queries += store.bill(flat // stride, (flat % stride)[:, None])
         return store.bits(rows, pos)
+
+    def _query_dense(self, store, rows, touched, increasing, pos) -> np.ndarray:
+        """Bill and read a call through a bitmap over its touched samples.
+
+        Pair (row i, position p) is cell ``at[i] * (n + 1) + p`` of the
+        flattened bitmap, where ``at[i]`` is row i's index in ``touched``;
+        column 0 stays unused, so the caller's positions index it as is.
+        The flat index is built in chunks of at most ``_DENSE_CHUNK_PAIRS``
+        pairs, once to scatter into the bitmap and once to gather the bits
+        back from a table of the same shape.
+        """
+        stride = self._n + 1
+        hit = np.zeros((touched.size, stride), dtype=bool)
+        at = np.arange(rows.size) if increasing else np.searchsorted(touched, rows)
+        at *= stride
+        width = pos.shape[-1]
+        step = max(1, _DENSE_CHUNK_PAIRS // width)
+        chunks = [slice(lo, lo + step) for lo in range(0, rows.size, step)]
+
+        def index(chunk: slice) -> np.ndarray:
+            return at[chunk, None] + (pos if pos.ndim == 1 else pos[chunk])
+
+        cells = hit.reshape(-1)
+        for chunk in chunks:
+            cells[index(chunk)] = True
+        used = np.flatnonzero(hit.any(axis=0))
+        self._queries += store.bill(touched, used, hit[:, used])
+        table = np.zeros(hit.shape, dtype=np.uint8)
+        table[:, used] = store.bits(touched, used)
+        bits = table.reshape(-1)
+        out = np.empty((rows.size, width), dtype=np.uint8)
+        for chunk in chunks:
+            np.take(bits, index(chunk), out=out[chunk])
+        return out
 
     def _check_handle(self, handle: SampleHandle) -> None:
         if not isinstance(handle, SampleHandle) or handle.token != self._token:

@@ -190,9 +190,10 @@ class TesterEntry:
     param with a ValueError naming it, converts each param to its type, and
     resolves the composite ones: ``property`` names a string tester,
     ``inner`` (with ``m``) an inner decision rule, ``k`` the Hadamard
-    property.  The function is named rather than held, so every call looks
-    it up in ``probedist.testers``, as a direct call would, and a patch of
-    that module attribute (a tracer's, a test's) reaches it.
+    property, whose strings must have the oracle's length, n = 2^k.  The
+    function is named rather than held, so every call looks it up in
+    ``probedist.testers``, as a direct call would, and a patch of that
+    module attribute (a tracer's, a test's) reaches it.
     """
 
     function: str
@@ -208,7 +209,10 @@ class TesterEntry:
             rule = _lookup(_INNER_RULES, kw["inner"], "inner decision rule")
             kw["inner"] = rule(m=kw.pop("m"), constants=constants)
         if "k" in kw:
-            kw["prop"] = hadamard_property(kw.pop("k"))
+            k = kw.pop("k")
+            kw["prop"] = hadamard_property(k)
+            if 1 << k != oracle.n:
+                raise ValueError(f"k = {k} needs n = 2^k = {1 << k}, got n = {oracle.n}")
         return getattr(testers, self.function)(oracle, seed=seed, constants=constants, **kw)
 
 

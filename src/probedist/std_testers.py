@@ -18,7 +18,6 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS, Constants
 
 __all__ = [
-    "collision_pattern",
     "std_support_tester",
     "std_grained_tester",
     "collision_statistic",
@@ -35,16 +34,6 @@ def _counts(values) -> np.ndarray:
         _, counts = np.unique(values, return_counts=True)
         return counts
     return np.array(sorted(Counter(values).values()), dtype=np.int64)
-
-
-def collision_pattern(values) -> tuple[int, ...]:
-    """Return (c_1, ..., c_s) where c_i counts values occurring exactly i times."""
-    counts = _counts(values)
-    s = int(counts.sum())
-    out = [0] * s
-    for c in counts:
-        out[int(c) - 1] += 1
-    return tuple(out)
 
 
 def std_support_tester(values, m: int) -> bool:

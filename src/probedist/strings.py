@@ -143,11 +143,12 @@ class LinearityTester:
         if k > step:
             parts = [batch[i : i + step] for i in range(0, k, step)]
             return np.concatenate([self.test_batch(reader, p, eps, rng, repeats) for p in parts])
-        a = rng.integers(0, n, size=(k, repeats, r))
-        b = rng.integers(0, n, size=(k, repeats, r))
-        pos = np.stack([a, b, a ^ b], axis=-1).reshape(k, repeats * r * 3)
+        pos = np.empty((k, repeats, r, 3), dtype=np.int64)
+        pos[..., 0] = rng.integers(0, n, size=(k, repeats, r))
+        pos[..., 1] = rng.integers(0, n, size=(k, repeats, r))
+        np.bitwise_xor(pos[..., 0], pos[..., 1], out=pos[..., 2])
         pos += 1
-        bits = reader.query_block(batch, pos).reshape(k, repeats, r, 3)
+        bits = reader.query_block(batch, pos.reshape(k, -1)).reshape(pos.shape)
         ok = (bits[..., 0] ^ bits[..., 1]) == bits[..., 2]
         return ok.all(axis=2)
 
@@ -197,15 +198,20 @@ class HadamardCorrector:
             parts = [(batch[i : i + step], a[i : i + step] + 1) for i in range(0, k, step)]
             done = [self.correct_batch(reader, b, p, rng, repeats) for b, p in parts]
             return np.concatenate(done)
+        # Each estimate reads the pair (a ^ r, r), in that order.
+        pos = np.empty((k, L, repeats, 2, 2), dtype=np.int64)
         r = rng.integers(0, n, size=(k, L, repeats, 2))
-        shifted = a[:, :, None, None] ^ r
-        pos = np.stack([shifted, r], axis=-1).reshape(k, L * repeats * 4)
+        np.bitwise_xor(a[:, :, None, None], r, out=pos[..., 0])
+        pos[..., 1] = r
+        del r  # not held through the read
         pos += 1
-        bits = reader.query_block(batch, pos).reshape(k, L, repeats, 2, 2)
+        bits = reader.query_block(batch, pos.reshape(k, -1)).reshape(pos.shape)
         est = bits[..., 0] ^ bits[..., 1]
-        call = np.where(est[..., 0] == est[..., 1], est[..., 0], -1).astype(np.int8)
-        ones = (call == 1).sum(axis=2)
-        zeros = (call == 0).sum(axis=2)
+        # Per call: 2 when both estimates say 1, 0 when both say 0, 1 when
+        # they disagree, which counts for neither value.
+        votes = est[..., 0] + est[..., 1]
+        ones = np.count_nonzero(votes == 2, axis=2)
+        zeros = np.count_nonzero(votes == 0, axis=2)
         return np.where(
             2 * ones > repeats, 1, np.where(2 * zeros > repeats, 0, -1)
         ).astype(np.int8)

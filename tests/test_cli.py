@@ -184,11 +184,15 @@ class TestRunCommand:
                         sources=[{"kind": "coordinate-noise",
                                   "params": {"x": "011", "flip_probs": [0.05] * 3}}]),
              [], "linearity testing needs n = 2^k"),
+            (_spec_dict(tester="self-correcting-hadamard",
+                        tester_params={"k": 3, "m": 1, "eps": 0.25},
+                        sources=[{"kind": "point", "params": {"x": "0000"}}]),
+             [], "k = 3 needs n = 2^k = 8, got n = 4"),
         ],
         ids=["unknown-key", "list-spec", "workers-0", "trials-0", "trials-string",
              "sources-object", "source-string", "unknown-param", "missing-param",
              "int-param-fraction", "eps-overflow", "adjacency-not-square",
-             "linearity-n-3"],
+             "linearity-n-3", "hadamard-k-not-log-n"],
     )
     def test_bad_spec_is_a_usage_error(self, tmp_path, capsys, spec, extra, message):
         spec_path = tmp_path / "spec.json"

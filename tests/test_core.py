@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from probedist import core
 from probedist.core import (
     BilledOracle,
     BitString,
@@ -365,6 +366,52 @@ def test_query_block_billing_equals_distinct_pairs(data):
             for j in range(k)
             for c in range(width)
         )
+
+
+@pytest.mark.parametrize("chunk", [1, 70, 300])
+def test_dense_calls_bill_and_read_across_index_chunks(monkeypatch, chunk):
+    """Dense ``query_block`` calls build their flat pair index in row chunks.
+
+    With the chunk size cut down, every call below spans several chunks: one
+    row per chunk at ``chunk`` 1, a few rows at the others.  Handles repeat
+    and come in any order, or count up as a draw's do; positions are shared
+    (1-d) or per row (2-d) and repeat inside a row.  Each call must take the
+    dense branch, bill exactly the distinct new pairs, and read back every
+    sample's own bits, whatever chunk a pair falls in.
+    """
+    monkeypatch.setattr(core, "_DENSE_CHUNK_PAIRS", chunk)
+    dense_calls = []
+    dense = BilledOracle._query_dense
+
+    def counted(self, *args):
+        dense_calls.append(1)
+        return dense(self, *args)
+
+    monkeypatch.setattr(BilledOracle, "_query_dense", counted)
+    n, count = 16, 40
+    rng = new_rng(chunk)
+    p = FiniteDistribution.uniform_over(np.unique(rng.integers(0, 2, size=(6, n)), axis=0))
+    o = BilledOracle([p], seed=chunk)
+    batch = o.draw(count)
+    strings = p.rows[p.draw_atoms(new_rng(chunk), count)]
+    seen = set()
+    for call in range(12):
+        if call % 3 == 0:
+            idx = np.arange(int(rng.integers(0, count // 2)), count)
+        else:
+            idx = rng.integers(0, count, size=int(rng.integers(2, 60)))
+        k, width = idx.size, int(rng.integers(n, 3 * n))
+        if call % 2:
+            pos = rng.integers(1, n + 1, size=width)
+            per_row = np.broadcast_to(pos, (k, width))
+        else:
+            pos = per_row = rng.integers(1, n + 1, size=(k, width))
+        before = len(dense_calls)
+        vals = o.query_block([batch[i] for i in idx], pos)
+        assert len(dense_calls) == before + 1
+        seen.update((int(i), int(q)) for i, row in zip(idx, per_row) for q in row)
+        assert o.queries_used == len(seen)
+        assert np.array_equal(vals, np.take_along_axis(strings[idx], per_row - 1, axis=1))
 
 
 @settings(max_examples=200, deadline=None)

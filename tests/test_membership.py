@@ -73,6 +73,88 @@ def _traced_peak(call):
 _UNCHUNKED_BYTES = 256 * 2**20
 
 
+def _stacked_linearity(reader, batch, eps, rng, repeats):
+    """``LinearityTester.test_batch`` on one chunk, probes built by np.stack."""
+    n, k = reader.n, len(batch)
+    r = LinearityTester().query_budget(n, eps) // 3
+    a = rng.integers(0, n, size=(k, repeats, r))
+    b = rng.integers(0, n, size=(k, repeats, r))
+    pos = np.stack([a, b, a ^ b], axis=-1).reshape(k, repeats * r * 3)
+    pos += 1
+    bits = reader.query_block(batch, pos).reshape(k, repeats, r, 3)
+    return ((bits[..., 0] ^ bits[..., 1]) == bits[..., 2]).all(axis=2)
+
+
+def _stacked_correction(reader, batch, positions, rng, repeats):
+    """``HadamardCorrector.correct_batch`` on one chunk, probes built by
+    np.stack and votes counted through an int8 call per repeat."""
+    k = len(batch)
+    a = np.asarray(positions, dtype=np.int64) - 1
+    if a.ndim == 1:
+        a = np.broadcast_to(a, (k, a.size))
+    L = a.shape[1]
+    r = rng.integers(0, reader.n, size=(k, L, repeats, 2))
+    pos = np.stack([a[:, :, None, None] ^ r, r], axis=-1).reshape(k, L * repeats * 4)
+    pos += 1
+    bits = reader.query_block(batch, pos).reshape(k, L, repeats, 2, 2)
+    est = bits[..., 0] ^ bits[..., 1]
+    call = np.where(est[..., 0] == est[..., 1], est[..., 0], -1).astype(np.int8)
+    ones = (call == 1).sum(axis=2)
+    zeros = (call == 0).sum(axis=2)
+    return np.where(2 * ones > repeats, 1, np.where(2 * zeros > repeats, 0, -1)).astype(np.int8)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batch_bodies_match_the_stacked_probe_construction(seed):
+    """The batch bodies build their probes in one buffer; verdicts, corrected
+    bits, bills and the generator state after each call must equal those of
+    the np.stack construction they replace.
+
+    Tables are linear ones with up to a quarter of their bits flipped, so
+    linearity runs pass and fail, and corrector calls agree, disagree and
+    tie.  Batches are a draw's or handles in any order with repeats, and
+    corrector positions are shared or one row per sample.
+    """
+    rng = new_rng(seed)
+    k = int(rng.integers(3, 7))
+    n = 1 << k
+    tables = set()
+    for coeff in rng.integers(0, n, size=4):
+        table = _linear_table(k, int(coeff))
+        table[rng.choice(n, size=int(rng.integers(0, n // 4 + 1)), replace=False)] ^= 1
+        tables.add(_bits_to_str(table))
+    p = FiniteDistribution.uniform_over(sorted(tables))
+    oracles = [BilledOracle([p], seed=seed) for _ in range(2)]
+    count = int(rng.integers(1, 12))
+    drawn = [o.draw(count) for o in oracles]
+    if seed % 2:
+        idx = rng.integers(0, len(drawn[0]), size=int(rng.integers(1, 16)))
+        drawn = [[d[int(i)] for i in idx] for d in drawn]
+    samples = len(drawn[0])
+    repeats = int(rng.integers(1, 6))
+    eps = float(rng.uniform(0.1, 1.0))
+    positions = rng.integers(1, n + 1, size=int(rng.integers(1, n + 1)))
+    if seed % 4 >= 2:
+        positions = rng.integers(1, n + 1, size=(samples, positions.size))
+    calls = [
+        (
+            lambda o, b, g: LinearityTester().test_batch(o, b, eps, g, repeats),
+            lambda o, b, g: _stacked_linearity(o, b, eps, g, repeats),
+        ),
+        (
+            lambda o, b, g: HadamardCorrector().correct_batch(o, b, positions, g, repeats),
+            lambda o, b, g: _stacked_correction(o, b, positions, g, repeats),
+        ),
+    ]
+    for new, old in calls:
+        gens = [new_rng(seed + 100) for _ in range(2)]
+        got = new(oracles[0], drawn[0], gens[0])
+        want = old(oracles[1], drawn[1], gens[1])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert gens[0].bit_generator.state == gens[1].bit_generator.state
+        assert oracles[0].queries_used == oracles[1].queries_used
+
+
 class TestLinearityTester:
     def test_accepts_exact_linear_tables(self):
         t = LinearityTester()
@@ -446,6 +528,22 @@ class TestSelfCorrectingTester:
             )
             assert not rep.accepted
             assert rep.trace["reject_stage"] in {"screen-membership", "screen-correction"}
+
+    def test_member_trial_peaks_under_32_mib(self):
+        """One criterion-8 member trial (4 codewords, k = 7, eps 0.25).
+
+        Its widest read is 512 samples x 4,200 corrector probes.  Building
+        them through np.stack of int64 temporaries peaked at 37.6 MiB.
+        """
+        p = _codeword_dist(7, ["1100000", "1000101", "0011011", "1111000"])
+        rep, peak = _traced_peak(
+            lambda: self_correcting_tester(
+                BilledOracle([p], seed=800_000), hadamard_property(7), SupportInner(m=4),
+                0.25, seed=801_000_003,
+            )
+        )
+        assert rep.accepted
+        assert peak < 32 * 2**20
 
     def test_sizes_follow_inner_budget_at_clamped_proximity(self):
         p = _codeword_dist(7, ["1100000", "1000101"])

@@ -8,24 +8,12 @@ from probedist.core import new_rng
 from probedist.std_testers import (
     GrainedInner,
     SupportInner,
-    collision_pattern,
     collision_statistic,
     equality_threshold,
     std_equality_tester,
     std_grained_tester,
     std_support_tester,
 )
-
-
-class TestCollisionPattern:
-    def test_one_pair_one_single(self):
-        assert collision_pattern(["a", "b", "a"]) == (1, 1, 0)
-
-    def test_all_distinct(self):
-        assert collision_pattern([1, 2, 3, 4]) == (4, 0, 0, 0)
-
-    def test_all_equal(self):
-        assert collision_pattern([7, 7, 7]) == (0, 0, 1)
 
 
 class TestStdSupportTester:
