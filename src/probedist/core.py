@@ -42,7 +42,6 @@ import numpy as np
 
 __all__ = [
     "WEIGHT_TOL",
-    "BitString",
     "FiniteDistribution",
     "ImplicitDistribution",
     "SampleSource",
@@ -146,63 +145,19 @@ def _to01(bits: np.ndarray) -> str:
 
 
 def _as_bit_array(bits) -> np.ndarray:
-    if isinstance(bits, BitString):
-        return bits.bits
     if isinstance(bits, str):
-        if not bits or set(bits) - {"0", "1"}:
+        # A non-ASCII character becomes "?", and every character but 0 and 1
+        # maps above 1 in uint8 arithmetic.
+        arr = np.frombuffer(bits.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+        if arr.size == 0 or int(arr.max()) > 1:
             raise ValueError("bit strings contain only the characters 0 and 1")
-        return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+        return arr
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty one-dimensional bit array")
     if arr.size and int(arr.max(initial=0)) > 1:
         raise ValueError("bits must be 0 or 1")
     return arr
-
-
-class BitString:
-    """An immutable string over {0,1} with 1-based bit access."""
-
-    __slots__ = ("_bits",)
-
-    def __init__(self, bits):
-        arr = _as_bit_array(bits).copy()
-        arr.setflags(write=False)
-        self._bits = arr
-
-    @property
-    def bits(self) -> np.ndarray:
-        """The underlying read-only uint8 array (0-based, for bulk math)."""
-        return self._bits
-
-    @property
-    def n(self) -> int:
-        return int(self._bits.size)
-
-    def bit(self, position: int) -> int:
-        """Return bit ``position`` where positions run 1..n."""
-        if not 1 <= position <= self._bits.size:
-            raise ValueError(f"position {position} outside [1, {self._bits.size}]")
-        return int(self._bits[position - 1])
-
-    def to01(self) -> str:
-        return _to01(self._bits)
-
-    def __len__(self) -> int:
-        return int(self._bits.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return self._bits.size == other._bits.size and bool(
-            np.array_equal(self._bits, other._bits)
-        )
-
-    def __hash__(self) -> int:
-        return hash(self._bits.tobytes())
-
-    def __repr__(self) -> str:
-        return f"BitString({self.to01()!r})"
 
 
 class FiniteDistribution:
@@ -280,9 +235,6 @@ class FiniteDistribution:
     @property
     def weights(self) -> np.ndarray:
         return self._weights
-
-    def atoms(self) -> list[tuple[BitString, float]]:
-        return [(BitString(r), float(w)) for r, w in zip(self._rows, self._weights)]
 
     def draw_atoms(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` atom indices i.i.d. by weight."""

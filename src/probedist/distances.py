@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteDistribution, _as_bit_array, _merge_rows
+from .core import FiniteDistribution, _merge_rows
 
 __all__ = [
-    "hamming_rel",
     "cost_matrix",
     "TransportPlan",
     "emd",
@@ -27,14 +26,6 @@ __all__ = [
 ]
 
 _FLOW_TOL = 1e-12
-
-
-def hamming_rel(x, y) -> float:
-    """Fraction of positions where x and y differ."""
-    ax, ay = _as_bit_array(x), _as_bit_array(y)
-    if ax.size != ay.size:
-        raise ValueError("length mismatch")
-    return float(np.count_nonzero(ax != ay)) / ax.size
 
 
 def cost_matrix(rows_a: np.ndarray, rows_b: np.ndarray, metric: str = "hamming") -> np.ndarray:
@@ -180,20 +171,9 @@ def tv(p: FiniteDistribution, q: FiniteDistribution) -> float:
     return float(0.5 * np.abs(diff).sum())
 
 
-def _cluster_cost(rows: np.ndarray, weights: np.ndarray, mask: int) -> tuple[float, np.ndarray]:
-    """Cheapest way to merge the atoms in ``mask`` onto one string.
-
-    The optimal merge target minimises the weighted sum of relative Hamming
-    distances, which decomposes per coordinate: take the weighted majority
-    bit, ties resolved to 0.
-    """
-    idx = [i for i in range(rows.shape[0]) if mask >> i & 1]
-    w = weights[idx]
-    sub = rows[idx].astype(np.float64)
-    ones = w @ sub
-    center = (ones > w.sum() / 2.0).astype(np.uint8)
-    cost = float((w @ (sub != center)).sum()) / rows.shape[1]
-    return cost, center
+# A cluster-cost block spans at most this many (mask, column pattern) pairs,
+# which bounds its working memory and keeps it in cache.
+_COST_BLOCK = 1 << 16
 
 
 def dist_to_support_m(
@@ -205,7 +185,19 @@ def dist_to_support_m(
     merging each group onto its best single string.  Grouping is optimal
     because some optimal plan moves each atom's mass to a single target (the
     nearest one), and the per-group best target is the weighted majority
-    string.  Guarded to supports of at most 12 atoms.
+    string, ties resolved to 0.  Guarded to supports of at most 12 atoms.
+
+    Method, for s atoms: one pass over the n columns packs each column's s
+    bits into a pattern and counts the columns of each pattern.  A column
+    with pattern P costs a group x the smaller side of its majority vote,
+    the weight of x & P or of x & ~P, so every group's cost is a sum over the
+    present patterns of a lookup in the table of subset weights.  A DP over
+    (mask, group) pairs, the group holding the mask's lowest atom, then
+    finds the best partition into k groups for k = 1..m, trying a mask's
+    groups in descending order and keeping the first minimal one.  Time is
+    O(s n + 4^s + (s + m) 3^s) and memory O(n + m 2^s + 3^s); the cost table
+    is filled in blocks of at most ``_COST_BLOCK`` (mask, pattern) pairs, and
+    only the chosen groups' centers are built.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -214,44 +206,69 @@ def dist_to_support_m(
         raise ValueError("exhaustive search guarded to supports of size <= 12")
     if m >= s:
         return (0.0, p) if return_witness else 0.0
-    full = (1 << s) - 1
-    cost = np.empty(1 << s, dtype=np.float64)
-    centers: list = [None] * (1 << s)
-    cost[0] = 0.0
-    for mask in range(1, 1 << s):
-        cost[mask], centers[mask] = _cluster_cost(p.rows, p.weights, mask)
-    best = np.full((m + 1, 1 << s), np.inf)
-    choice = np.zeros((m + 1, 1 << s), dtype=np.int64)
-    best[0, 0] = 0.0
+    size = 1 << s
+    # Bit i of a column's pattern is atom i's bit in that column.
+    packed = np.packbits(p.rows, axis=0, bitorder="little")
+    patterns = packed[0].astype(np.intp)
+    if s > 8:
+        patterns |= packed[1].astype(np.intp) << 8
+    hist = np.bincount(patterns, minlength=size)
+    present = np.flatnonzero(hist).astype(np.uint16)
+    absent = ~present
+    counts = hist[present].astype(np.float64)
+    # ws[x] sums the weights of the atoms in x, in atom order.
+    ws = np.zeros(size, dtype=np.float64)
+    for i, wi in enumerate(p.weights):
+        ws[1 << i : 2 << i] = ws[: 1 << i] + wi
+    cost = np.empty(size, dtype=np.float64)
+    masks = np.arange(size, dtype=np.uint16)
+    step = max(1, _COST_BLOCK // present.size)
+    for lo in range(0, size, step):
+        block = masks[lo : lo + step, None]
+        # The weight outvoted in each column: the majority is 1 when the
+        # ones outweigh half the group, and ties go to 0.
+        minority = ws.take(block & present)
+        np.copyto(minority, ws.take(block & absent), where=minority > ws[block] / 2.0)
+        cost[lo : lo + step] = minority @ counts / p.n
+    # Every (mask, group) pair: the group holds the mask's lowest atom, so
+    # each partition is counted once, and any subset of its other atoms.
+    pair_mask = np.arange(1, size, dtype=np.intp)
+    pair_group = pair_mask & -pair_mask
+    for i in range(s):
+        bit = 1 << i
+        grow = (pair_mask & bit != 0) & (pair_group & bit == 0)
+        pair_mask = np.concatenate([pair_mask, pair_mask[grow]])
+        pair_group = np.concatenate([pair_group, pair_group[grow] | bit])
+    # Descending groups within a mask: the first minimal one wins a tie.
+    order = np.lexsort((-pair_group, pair_mask))
+    pair_mask, pair_group = pair_mask[order], pair_group[order]
+    starts = np.flatnonzero(np.diff(pair_mask, prepend=0))
+    rest = pair_mask ^ pair_group
+    group_cost = cost[pair_group]
+    best = np.full((m + 1, size), np.inf)
+    best[:, 0] = 0.0
+    choice = np.zeros((m + 1, size), dtype=np.intp)
     for k in range(1, m + 1):
-        best[k, 0] = 0.0
-        for mask in range(1, 1 << s):
-            # Pin the lowest atom of the mask into the new group so each
-            # partition is counted once.
-            low = mask & -mask
-            rest = mask ^ low
-            sub = rest
-            while True:
-                group = sub | low
-                c = best[k - 1, mask ^ group] + cost[group]
-                if c < best[k, mask]:
-                    best[k, mask] = c
-                    choice[k, mask] = group
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
-    value = float(best[m, full])
+        cand = best[k - 1, rest] + group_cost
+        best[k, 1:] = np.minimum.reduceat(cand, starts)
+        hits = np.flatnonzero(cand == best[k, pair_mask])
+        first = hits[np.diff(pair_mask[hits], prepend=0) != 0]
+        choice[k, pair_mask[first]] = pair_group[first]
+    value = float(best[m, size - 1])
     if not return_witness:
         return value
-    groups = []
-    k, mask = m, full
+    centers, weights = [], []
+    k, mask = m, size - 1
     while mask:
         group = int(choice[k, mask])
-        groups.append(group)
+        idx = [i for i in range(s) if group >> i & 1]
+        w = p.weights[idx]
+        ones = w @ p.rows[idx].astype(np.float64)
+        centers.append((ones > w.sum() / 2.0).astype(np.uint8))
+        weights.append(float(ws[group]))
         mask ^= group
         k -= 1
-    weights = [float(sum(p.weights[i] for i in range(s) if group >> i & 1)) for group in groups]
-    return value, FiniteDistribution.merged(np.stack([centers[g] for g in groups]), weights)
+    return value, FiniteDistribution.merged(np.stack(centers), weights)
 
 
 def grain_round(p: FiniteDistribution, ell_prime: int) -> tuple[FiniteDistribution, dict]:

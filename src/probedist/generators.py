@@ -38,7 +38,6 @@ __all__ = [
     "mixture",
     "LinearCode",
     "hadamard_code",
-    "random_linear_code",
     "code_lift",
 ]
 
@@ -382,24 +381,6 @@ def hadamard_code(k: int) -> LinearCode:
     n = 1 << k
     gen = ((np.arange(n)[None, :] >> np.arange(k)[:, None]) & 1).astype(np.uint8)
     return LinearCode(gen)
-
-
-def random_linear_code(
-    k: int, n: int, seed, min_rel_distance: float = 0.25, max_attempts: int = 200
-) -> LinearCode:
-    """Random generator matrix re-drawn until its code clears the distance bar."""
-    rng = new_rng(seed)
-    for _ in range(max_attempts):
-        try:
-            code = LinearCode(rng.integers(0, 2, size=(k, n), dtype=np.uint8))
-        except ValueError:
-            continue
-        if code.measured_min_distance >= min_rel_distance:
-            return code
-    raise RuntimeError(
-        f"no [{n}, {k}] code with relative distance {min_rel_distance} "
-        f"found in {max_attempts} attempts"
-    )
 
 
 def code_lift(code: LinearCode, p: FiniteDistribution) -> FiniteDistribution:

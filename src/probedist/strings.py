@@ -32,7 +32,6 @@ __all__ = [
     "HadamardCorrector",
     "hadamard_property",
     "ConstantTester",
-    "FullReadTester",
     "ExactIsomorphismTester",
 ]
 
@@ -280,29 +279,6 @@ class ConstantTester:
 
     # The benchmark's tracer wraps this name; its next revision drops it.
     test = test_batch
-
-
-@dataclass(frozen=True)
-class FullReadTester:
-    """Reads the whole string and checks exact membership; n queries.
-
-    The correct-but-expensive baseline for properties without a sublinear
-    tester wired in.
-    """
-
-    contains: Callable[[np.ndarray], bool]
-    one_sided: ClassVar[bool] = True
-
-    def query_budget(self, n: int, eps: float) -> int:
-        return n
-
-    def test_batch(
-        self, reader, batch, eps: float, rng: np.random.Generator, repeats: int = 1
-    ) -> np.ndarray:
-        """Read each sample once; all runs on a sample share its verdict."""
-        bits = reader.query_block(batch, np.arange(1, reader.n + 1))
-        ok = np.array([bool(self.contains(row)) for row in bits], dtype=bool)
-        return np.repeat(ok[:, None], repeats, axis=1)
 
 
 @functools.lru_cache(maxsize=None)

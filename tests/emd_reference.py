@@ -1,16 +1,19 @@
 """Independent reference implementations for cross-checking distances.
 
-Everything here is deliberately primitive: plain Python, no imports from the
-package under test, brute-force enumeration instead of optimisation.  The
-real solver must agree with these on every small instance.
+Everything here is deliberately primitive: plain Python or plain numpy, no
+imports from the package under test, brute-force enumeration instead of
+optimisation.  The real solver must agree with these on every small instance.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
 
-def hamming_frac(x: str, y: str) -> float:
+
+def hamming_rel(x, y) -> float:
+    """Fraction of positions where x and y differ (0/1 strings or arrays)."""
     if len(x) != len(y):
         raise ValueError("length mismatch")
     return sum(a != b for a, b in zip(x, y)) / len(x)
@@ -123,7 +126,7 @@ def emd_reference(p_atoms, q_atoms, metric: str = "hamming") -> float:
     supply = [w for _, w in p_atoms]
     demand = [w for _, w in q_atoms]
     if metric == "hamming":
-        cost = [[hamming_frac(x, y) for y in ys] for x in xs]
+        cost = [[hamming_rel(x, y) for y in ys] for x in xs]
     elif metric == "ineq":
         cost = [[0.0 if x == y else 1.0 for y in ys] for x in xs]
     else:
@@ -145,8 +148,64 @@ def support_distance_reference(p_atoms, m: int) -> float:
     best = None
     for centers in itertools.combinations(universe, m):
         c = sum(
-            w * min(hamming_frac(x, ctr) for ctr in centers) for x, w in p_atoms
+            w * min(hamming_rel(x, ctr) for ctr in centers) for x, w in p_atoms
         )
         if best is None or c < best:
             best = c
     return best
+
+
+def _cluster_cost(rows, weights, mask: int):
+    """Cost and center of merging the atoms in ``mask`` onto one string: the
+    weighted majority bit per coordinate, ties resolved to 0."""
+    idx = [i for i in range(rows.shape[0]) if mask >> i & 1]
+    w = weights[idx]
+    sub = rows[idx].astype(np.float64)
+    ones = w @ sub
+    center = (ones > w.sum() / 2.0).astype(np.uint8)
+    cost = float((w @ (sub != center)).sum()) / rows.shape[1]
+    return cost, center
+
+
+def support_partition_reference(rows, weights, m: int):
+    """Distance to the nearest <= m atom distribution by partition search.
+
+    Scores every subset of atoms as one cluster, then runs the submask DP
+    over partitions into at most m clusters, the lowest atom of each mask
+    pinned into its group and groups tried in descending order.  Returns the
+    value, the chosen groups' centers and their weights, in the order the
+    DP unwinds them.  Takes 2^s per-subset passes over the rows.
+    """
+    rows = np.asarray(rows, dtype=np.uint8)
+    weights = np.asarray(weights, dtype=np.float64)
+    s = rows.shape[0]
+    cost = [0.0] * (1 << s)
+    centers = [None] * (1 << s)
+    for mask in range(1, 1 << s):
+        cost[mask], centers[mask] = _cluster_cost(rows, weights, mask)
+    best = [[float("inf")] * (1 << s) for _ in range(m + 1)]
+    choice = [[0] * (1 << s) for _ in range(m + 1)]
+    best[0][0] = 0.0
+    for k in range(1, m + 1):
+        best[k][0] = 0.0
+        for mask in range(1, 1 << s):
+            low = mask & -mask
+            rest = mask ^ low
+            sub = rest
+            while True:
+                group = sub | low
+                c = best[k - 1][mask ^ group] + cost[group]
+                if c < best[k][mask]:
+                    best[k][mask] = c
+                    choice[k][mask] = group
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+    full = (1 << s) - 1
+    groups, k, mask = [], m, full
+    while mask:
+        groups.append(choice[k][mask])
+        mask ^= choice[k][mask]
+        k -= 1
+    group_weights = [float(sum(weights[i] for i in range(s) if g >> i & 1)) for g in groups]
+    return best[m][full], [centers[g] for g in groups], group_weights

@@ -203,6 +203,19 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    def test_infeasible_generator_request_is_a_failed_check(self, tmp_path, capsys):
+        # The generator cannot tell spacing that no strings meet from an
+        # unlucky search, so it stays a RuntimeError and exit 1.
+        source = {"kind": "uniform-random-subset",
+                  "params": {"n": 8, "m": 40, "min_distance": 0.6}}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(_spec_dict(sources=[source])))
+        rc = cli.main(["run", str(spec_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "could not place 40 strings at pairwise distance 0.6" in err
+
 
 class TestCalibrateCommand:
     def test_calibrate_support_smoke(self, tmp_path):

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from probedist import core
 from probedist.core import (
     BilledOracle,
-    BitString,
     BudgetLawError,
     FiniteDistribution,
     ImplicitDistribution,
     SampleBatch,
     TesterReport,
+    _as_bit_array,
     _merge_rows,
     finish_report,
     new_rng,
@@ -156,16 +156,22 @@ def test_merged_matches_unique_and_add_at_bit_for_bit(data):
     assert p.weights.tobytes() == sums.tobytes()
 
 
-def test_bitstring():
-    x = BitString("0101")
-    assert x.n == 4
-    assert x.bit(2) == 1
-    assert x.bit(1) == 0
-    assert x.to01() == "0101"
-    assert BitString("0101") == BitString([0, 1, 0, 1])
-    assert hash(BitString("01")) == hash(BitString("01"))
-    with pytest.raises(ValueError):
-        x.bit(5)
+class TestAsBitArray:
+    MESSAGE = "bit strings contain only the characters 0 and 1"
+
+    def test_empty_string_rejected(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            _as_bit_array("")
+
+    @pytest.mark.parametrize("bits", ["0120", "01 0", "/01", "01a", "1O"])
+    def test_other_characters_rejected(self, bits):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            _as_bit_array(bits)
+
+    @pytest.mark.parametrize("bits", ["01\u00e9", "\u0660", "0\U0001d7d81"])
+    def test_non_ascii_rejected(self, bits):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            _as_bit_array(bits)
 
 
 class TestFiniteDistribution:

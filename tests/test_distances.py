@@ -1,9 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from emd_reference import emd_reference, support_distance_reference, tv_reference
+from emd_reference import (
+    emd_reference,
+    hamming_rel,
+    support_distance_reference,
+    support_partition_reference,
+    tv_reference,
+)
 from probedist.core import FiniteDistribution, new_rng
 from probedist.distances import (
     cost_matrix,
@@ -11,7 +18,6 @@ from probedist.distances import (
     emd,
     emd_with_plan,
     grain_round,
-    hamming_rel,
     tv,
 )
 
@@ -218,6 +224,45 @@ class TestDistToSupport:
             value, witness = dist_to_support_m(p, m, return_witness=True)
             assert witness.support_size <= m
             assert emd(p, witness) <= value + 1e-9
+
+    @pytest.mark.parametrize("s", range(2, 13))
+    def test_matches_partition_reference(self, s):
+        rng = new_rng(400 + s)
+        for n in (s, 37, 300) if s <= 8 else (16, 300):
+            for m in sorted({1, s - 1, int(rng.integers(1, s))}):
+                p = _exact_size_dist(rng, n, s)
+                want = support_partition_reference(p.rows, p.weights, m)[0]
+                assert abs(dist_to_support_m(p, m) - want) <= 1e-12
+
+    @pytest.mark.parametrize("s", [3, 5, 8, 9, 11])
+    def test_dyadic_weights_match_reference_exactly(self, s):
+        rng = new_rng(500 + s)
+        for n in (s + 3, 64, 257):
+            p = _exact_size_dist(rng, n, s)
+            # Weights k / 64 keep every sum, and half of one, exact, and
+            # they tie often.
+            units = rng.integers(1, 5, size=s).astype(np.float64)
+            units[-1] += 64 - units.sum()
+            p = FiniteDistribution(rows=p.rows, weights=units / 64)
+            for m in sorted({1, s - 1, int(rng.integers(1, s))}):
+                value, witness = dist_to_support_m(p, m, return_witness=True)
+                want, centers, weights = support_partition_reference(p.rows, p.weights, m)
+                assert value == want
+                ref = FiniteDistribution.merged(np.stack(centers), weights)
+                assert np.array_equal(witness.rows, ref.rows)
+                assert np.array_equal(witness.weights, ref.weights)
+
+    def test_twelve_atoms_wide_memory(self):
+        rng = new_rng(12)
+        p = _exact_size_dist(rng, 1 << 16, 12)
+        tracemalloc.start()
+        try:
+            value = dist_to_support_m(p, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < value <= 1.0
+        assert peak < 64 * 2**20
 
 
 class TestGrainRound:

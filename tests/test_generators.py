@@ -18,7 +18,6 @@ from probedist.generators import (
     iso_copies_dist,
     mixture,
     perturb_dist,
-    random_linear_code,
     relabel,
     shift_dist,
     uniform_random_subset,
@@ -326,13 +325,6 @@ class TestLinearCodes:
     def test_message_length_cap(self):
         with pytest.raises(ValueError):
             LinearCode(np.eye(13, 20, dtype=np.uint8))
-
-    def test_random_code_meets_distance_bar(self):
-        code = random_linear_code(4, 32, seed=0)
-        assert code.k == 4 and code.n == 32
-        assert code.measured_min_distance >= 0.25
-        again = random_linear_code(4, 32, seed=0)
-        assert np.array_equal(code.generator, again.generator)
 
 
 class TestCodeLift:

@@ -16,7 +16,6 @@ from probedist.strings import (
     ConstantTester,
     CorrectableProperty,
     ExactIsomorphismTester,
-    FullReadTester,
     HadamardCorrector,
     LinearityTester,
     hadamard_property,
@@ -245,18 +244,6 @@ class TestConstantTester:
         assert (calls[0].reshape(6, repeats, width)[..., 0] == 1).all()
         first = oracle.query_block(batch, [1])[:, 0]
         assert np.array_equal(ok, np.repeat((first == 1)[:, None], repeats, axis=1))
-
-
-class TestFullReadTester:
-    def test_exact_membership_and_cost(self):
-        even_parity = lambda bits: int(np.sum(bits)) % 2 == 0
-        t = FullReadTester(contains=even_parity)
-        oracle, batch = _sample_of(np.array([1, 1, 0, 0], np.uint8))
-        assert t.test_batch(oracle, batch, 0.5, new_rng(0), repeats=3).tolist() == [[True] * 3]
-        assert oracle.queries_used == 4
-        assert t.query_budget(4, 0.5) == 4
-        oracle_odd, batch_odd = _sample_of(np.array([1, 0, 0, 0], np.uint8))
-        assert not _passes(t, oracle_odd, batch_odd, 0.5, 0)
 
 
 def _adj_string(v: int, edges, perm=None) -> str:
