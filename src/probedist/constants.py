@@ -29,10 +29,9 @@ class Constants:
     # ell = ceil(c * ln(s / eps) / eps) for an inner budget of s samples
     lift_positions: float = 4.0
 
-    # grained tester phases: s1 = ceil(c * m * ln(m+1)),
-    # s2 = ceil(c * m * ln(m+1) / eps^2)
-    grained_phase1: float = 4.0
-    grained_phase2: float = 250.0
+    # samples of the grained tester's one block, decided by TV to the
+    # nearest m-grained distribution: s = ceil(c * m * ln(m+1) / eps^2)
+    grained_samples: float = 1.5
 
     # Poisson mean of the collision-statistic equality tester:
     # lam = c * max(eps^(-4/3) * m^(2/3), eps^(-2) * sqrt(m))

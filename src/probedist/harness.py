@@ -222,8 +222,8 @@ _NOISE = {"eta": (float, REQUIRED), "delta": (float, REQUIRED)}
 
 TESTERS = {
     "support": TesterEntry("support_tester", {**_M, **_EPS}, ("support_samples",)),
-    "grained": TesterEntry("grained_tester", {**_M, **_EPS}, ("grained_phase2",)),
-    "uniformity": TesterEntry("uniformity_tester", {**_M, **_EPS}, ("grained_phase2",)),
+    "grained": TesterEntry("grained_tester", {**_M, **_EPS}, ("grained_samples",)),
+    "uniformity": TesterEntry("uniformity_tester", {**_M, **_EPS}, ("grained_samples",)),
     "pair-equality": TesterEntry(
         "pair_equality_tester", {**_M, **_EPS, "both_bounded": (bool, True)}, ("equality_mean",)
     ),

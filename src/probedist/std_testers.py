@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .constants import DEFAULT_CONSTANTS, Constants
 
 __all__ = [
     "std_support_tester",
-    "std_grained_tester",
+    "tv_to_grained",
     "collision_statistic",
     "equality_threshold",
     "std_equality_tester",
@@ -47,38 +48,31 @@ def std_support_tester(values, m: int) -> bool:
     return _counts(values).size <= m
 
 
-def std_grained_tester(phase1_values, phase2_values, m: int, eps: float) -> bool:
-    """Accept iff the phase-2 frequencies look like multiples of 1/m.
+def tv_to_grained(counts, m: int) -> float:
+    """Exact TV distance from an empirical distribution to the m-grained set.
 
-    Phase 1 fixes the plausible support W.  Any phase-2 value outside W
-    rejects; every phase-2 frequency of at least (1 - 0.1*eps)/(2m) must
-    fall within a factor 1 +- 0.1*eps of a positive integer multiple of
-    1/m, and frequencies below that floor are ignored.  Phase sizes are the
-    caller's responsibility (the billed wrapper uses the calibrated
-    formulas).
+    ``counts`` holds the multiplicity of each observed value; the result is
+    the minimum, over distributions whose weights are multiples of 1/m, of
+    the TV distance to counts / counts.sum().  Mass may sit on values never
+    observed.  Integer arithmetic: with s samples each value first takes
+    floor(count * m / s) units of 1/m, leaving remainder rem; the R units
+    still free go to the R largest remainders, each lowering that value's
+    |f - units/m| from rem/(s m) to (s - rem)/(s m).  Every value's cost is
+    convex in its units, so this greedy is exact.  A unit on an unseen value
+    would cost the full 1/m, never less than a remainder's (s - 2 rem)/(s m),
+    and the remainders sum to s * R with each below s, so at least R values
+    have one and no unit ever goes unseen.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    p1 = np.asarray(phase1_values)
-    p2 = np.asarray(phase2_values)
-    if p1.size == 0 or p2.size == 0:
-        raise ValueError("both phases need at least one sample")
-    if not np.isin(p2, p1).all():
-        return False
-    _, counts = np.unique(p2, return_counts=True)
-    freqs = counts / p2.size
-    floor = (1.0 - 0.1 * eps) / (2.0 * m)
-    for f in freqs:
-        if f < floor:
-            continue
-        k = round(f * m)
-        if k < 1:
-            return False
-        if not (1.0 - 0.1 * eps) * k / m <= f <= (1.0 + 0.1 * eps) * k / m:
-            return False
-    return True
+    c = np.asarray(counts, dtype=np.int64)
+    s = int(c.sum())
+    if s < 1:
+        raise ValueError("need at least one sample")
+    units, rem = np.divmod(c * m, s)
+    r = m - int(units.sum())
+    top = np.sort(rem)[rem.size - r :]
+    return (int(rem.sum()) + int((s - 2 * top).sum())) / (2 * s * m)
 
 
 def collision_statistic(counts_a, counts_b) -> float:
@@ -145,7 +139,7 @@ class SupportInner:
 
     m: int
     constants: Constants = field(default=DEFAULT_CONSTANTS)
-    one_sided: bool = True
+    one_sided: ClassVar[bool] = True
 
     def sample_count(self, eps: float) -> int:
         return math.ceil(self.constants.support_samples * self.m / eps)
@@ -158,27 +152,29 @@ class SupportInner:
 class GrainedInner:
     """Grained-weights inner tester, pluggable into the projection lift.
 
-    The sample budget covers both phases; ``decide`` splits its input in
-    draw order (the first phase-1 block fixes the support).
+    Draws s = ceil(c * m * ln(m+1) / eps^2) samples and accepts iff the
+    empirical distribution lies within eps/2 in TV of some m-grained
+    distribution (:func:`tv_to_grained`).  Completeness: a member has at
+    most m atoms, so E TV(p_hat, p) <= (1/2) sum_i sqrt(p_i / s) <=
+    (1/2) sqrt(m/s), which is eps / (2 sqrt(c ln(m+1))), and TV(p_hat, p)
+    moves by at most 1/s per sample, so it concentrates around that mean.
+    Soundness: for an eps-far p and any fixed m-grained g, E TV(p_hat, g) >=
+    TV(p, g) >= eps by convexity, with the same concentration; the ln(m+1)
+    pays for the union over the grained candidates near p.  Learning an
+    m-point distribution in TV takes Theta(m / eps^2) samples (Canonne, "A
+    short note on learning discrete distributions", arXiv 2002.11457).
+    This is an argument for the shape of s, not a proof of the shipped c:
+    that constant is calibrated by Monte Carlo on value-level and lifted
+    fixtures (``tests/test_grained_rule.py``).
     """
 
     m: int
     constants: Constants = field(default=DEFAULT_CONSTANTS)
-    one_sided: bool = False
-
-    def phase_sizes(self, eps: float) -> tuple[int, int]:
-        scale = self.m * math.log(self.m + 1.0)
-        s1 = math.ceil(self.constants.grained_phase1 * scale)
-        s2 = math.ceil(self.constants.grained_phase2 * scale / eps**2)
-        return s1, s2
+    one_sided: ClassVar[bool] = False
 
     def sample_count(self, eps: float) -> int:
-        s1, s2 = self.phase_sizes(eps)
-        return s1 + s2
+        scale = self.m * math.log(self.m + 1.0)
+        return math.ceil(self.constants.grained_samples * scale / eps**2)
 
     def decide(self, values, eps: float) -> bool:
-        s1, _ = self.phase_sizes(eps)
-        values = np.asarray(values)
-        if values.size <= s1:
-            raise ValueError("sample list shorter than phase 1")
-        return std_grained_tester(values[:s1], values[s1:], self.m, eps)
+        return tv_to_grained(_counts(values), self.m) <= eps / 2.0

@@ -159,7 +159,9 @@ def grained_tester(
 ) -> TesterReport:
     """Test that X is m-grained: every atom weight a multiple of 1/m.
 
-    Projection lift of the two-phase classical grained tester.
+    Projection lift of the classical grained rule: one block of samples per
+    vote, accepted iff its restricted values lie within eps/4 in TV of some
+    m-grained distribution (``GrainedInner`` at the lift's eps/2).
     """
     if m < 1:
         raise ValueError("m must be at least 1")

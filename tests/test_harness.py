@@ -238,9 +238,9 @@ FIXED_SPECS = {
     "support": ({"m": 2, "eps": 0.5}, [_S16],
                 "989fb129342009bd35cede1063749aa5dc228743d8b81f3923f89c6d9483701c"),
     "grained": ({"m": 2, "eps": 0.5}, [_S16],
-                "ed88e32231830a6f1bb33352f53fda1f174875c74d488f7a772d391487de5b80"),
+                "44a6a921c1e566caa0855c5a0ed5512adcc4a2c0ffb9d3249f429a5026229081"),
     "uniformity": ({"m": 2, "eps": 0.5}, [_S16],
-                   "0bd3d9925df1c1c48aa30f154a0b95b913ea7b42b0d72b566238faecd613e271"),
+                   "a75b9eaa2c8aca74943065c88dd2be36b9d85d423cfcbcaf18498b7b3ff459c6"),
     "pair-equality": ({"m": 4, "eps": 0.5}, [_SUBSET, _SUBSET],
                       "d2303a04be8e7224f884b51179872b84e25f7450608fc20f40f30116c8838cb8"),
     "perturbation": ({"eta": 0.1, "delta": 0.3, "eps": 0.5},
@@ -262,7 +262,7 @@ FIXED_SPECS = {
                            "params": {"x": "0" * 32, "flip_probs": [0.05] * 32}}],
                          "ff935a67b9e3249ea860260c0bf4495557824d1ac9a11b796056e009c9ce132a"),
     "projected": ({"inner": "grained", "m": 2, "eps": 0.5}, [_S16],
-                  "e03dc814155f40d1cb0d60ad379e315020a28f23cf4f46f4db36556d11959f4f"),
+                  "22117b20a1041a102df7a1e26e7c84719b1eb2a51ab64af499b0e4783f778047"),
     "self-correcting-hadamard": ({"k": 4, "m": 2, "eps": 0.5}, [_HADAMARD],
                                  "72f6082364db3e78adb6330ec8c7e4454f69817543e9c30ec67a61a9f601bcdd"),
 }

@@ -82,13 +82,11 @@ class TestGrainedTester:
         assert accepts >= 17
 
     def test_rejects_off_grain_instance(self):
-        # weights at 0.75/m and 1.25/m fall between the k=1 and k=2 windows
-        cheap = DEFAULT_CONSTANTS.replace(grained_phase2=20.0)
+        # weights 0.75/m and 1.25/m sit 1/8 in TV from the 2-grained set,
+        # past the eps/4 that the lifted rule accepts
         p = FiniteDistribution(atoms=[("0" * 32, 0.375), ("1" * 32, 0.625)])
         rejects = sum(
-            not grained_tester(
-                BilledOracle([p], seed=s), m=2, eps=0.2, seed=s, constants=cheap
-            ).accepted
+            not grained_tester(BilledOracle([p], seed=s), m=2, eps=0.2, seed=s).accepted
             for s in range(30)
         )
         assert rejects >= 27
