@@ -167,9 +167,15 @@ class FiniteDistribution:
     to one within ``WEIGHT_TOL``; construction validates all three.  The atom
     table is visible to distance computations and generators only; testers
     must reach a distribution through a :class:`BilledOracle`.
+
+    Draws go through a guide table (indexed search, Chen and Asau 1974) over
+    the CDF that ``Generator.choice`` builds, so :meth:`draw_atoms` returns
+    exactly what ``rng.choice(support_size, size=count, p=weights)`` would
+    and leaves ``rng`` in the same state.  Both tables are built here, once,
+    since sources are shared by the harness's worker threads.
     """
 
-    __slots__ = ("_rows", "_weights")
+    __slots__ = ("_rows", "_weights", "_cdf", "_guide")
 
     def __init__(self, atoms: Iterable[tuple] | None = None, *, rows=None, weights=None):
         if atoms is not None:
@@ -200,6 +206,19 @@ class FiniteDistribution:
         weights.setflags(write=False)
         self._rows = rows
         self._weights = weights
+        # Generator.choice's own CDF, which ends at exactly 1.0.
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf
+        # A uniform u lands in bucket b = int(u * k).  Bucket b starts at the
+        # number of CDF entries every u of that bucket reaches: c <= u for all
+        # such u exactly when the float just below c lies in an earlier
+        # bucket, since the bucket grows with u.  Capped at the last atom,
+        # which every u < 1 reaches.
+        k = cdf.size
+        below = np.floor(np.nextafter(cdf, 0.0) * k)
+        guide = np.searchsorted(below, np.arange(k + 1), side="left")
+        self._guide = np.minimum(guide, k - 1).astype(np.int64)
 
     @classmethod
     def merged(cls, rows, weights) -> "FiniteDistribution":
@@ -237,8 +256,17 @@ class FiniteDistribution:
         return self._weights
 
     def draw_atoms(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` atom indices i.i.d. by weight."""
-        return rng.choice(self.support_size, size=count, p=self._weights)
+        """Draw ``count`` atom indices i.i.d. by weight, bit for bit as
+        ``rng.choice(support_size, size=count, p=weights)`` does: the same
+        uniforms, each mapped to ``cdf.searchsorted(u, side="right")``."""
+        u = rng.random(count)
+        cdf = self._cdf
+        idx = self._guide[(u * cdf.size).astype(np.intp)]
+        # A draw past its bucket's first atom finishes by binary search.
+        late = np.flatnonzero(cdf[idx] <= u)
+        if late.size:
+            idx[late] = cdf.searchsorted(u[late], side="right")
+        return idx
 
     def draw_rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return self._rows[self.draw_atoms(rng, count)]
@@ -604,7 +632,9 @@ class BilledOracle:
         """
         batch = self._as_batch(handles)
         k = len(batch)
-        pos = np.asarray(positions, dtype=np.int64)
+        pos = np.asarray(positions)
+        if pos.dtype != np.int32:
+            pos = pos.astype(np.int64, copy=False)
         if not (pos.ndim == 1 or (pos.ndim == 2 and pos.shape[0] == k)):
             raise ValueError("positions must be 1-d or have one row per handle")
         if pos.size == 0:

@@ -101,13 +101,18 @@ def equality_threshold(poisson_mean: float, m: int, eps: float) -> float:
 
 
 def _paired_counts(values_a, values_b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(values_a)
-    b = np.asarray(values_b)
-    merged = np.concatenate([a, b])
-    _, inverse = np.unique(merged, return_inverse=True)
-    k = int(inverse.max()) + 1
-    ca = np.bincount(inverse[: a.size], minlength=k)
-    cb = np.bincount(inverse[a.size :], minlength=k)
+    """Per-value counts of both sides over the sorted union of their values.
+
+    Counts each side on its own, then places both count vectors on the
+    union, so no sort spans every sample of the two sides together.
+    """
+    labels_a, counts_a = np.unique(np.asarray(values_a), return_counts=True)
+    labels_b, counts_b = np.unique(np.asarray(values_b), return_counts=True)
+    labels = np.union1d(labels_a, labels_b)
+    ca = np.zeros(labels.size, dtype=np.int64)
+    cb = np.zeros(labels.size, dtype=np.int64)
+    ca[np.searchsorted(labels, labels_a)] = counts_a
+    cb[np.searchsorted(labels, labels_b)] = counts_b
     return ca, cb
 
 

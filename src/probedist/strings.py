@@ -47,6 +47,16 @@ def _chunk_samples(entries_per_sample: int) -> int:
     return max(1, CHUNK_ENTRIES // max(1, entries_per_sample))
 
 
+def _position_dtype(n: int) -> type:
+    """int32 for 1-based positions up to n when they fit, else int64.
+
+    For a range below 2^32, ``rng.integers(..., dtype=np.int32)`` gives the
+    same values as an int64 draw and leaves the generator in the same state,
+    so the narrower probe arrays draw the same stream at half the memory.
+    """
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
 @runtime_checkable
 class StringTester(Protocol):
     """Decides membership of strings in a fixed property."""
@@ -142,9 +152,10 @@ class LinearityTester:
         if k > step:
             parts = [batch[i : i + step] for i in range(0, k, step)]
             return np.concatenate([self.test_batch(reader, p, eps, rng, repeats) for p in parts])
-        pos = np.empty((k, repeats, r, 3), dtype=np.int64)
-        pos[..., 0] = rng.integers(0, n, size=(k, repeats, r))
-        pos[..., 1] = rng.integers(0, n, size=(k, repeats, r))
+        dtype = _position_dtype(n)
+        pos = np.empty((k, repeats, r, 3), dtype=dtype)
+        pos[..., 0] = rng.integers(0, n, size=(k, repeats, r), dtype=dtype)
+        pos[..., 1] = rng.integers(0, n, size=(k, repeats, r), dtype=dtype)
         np.bitwise_xor(pos[..., 0], pos[..., 1], out=pos[..., 2])
         pos += 1
         bits = reader.query_block(batch, pos.reshape(k, -1)).reshape(pos.shape)
@@ -186,7 +197,11 @@ class HadamardCorrector:
         """
         n = reader.n
         k = len(batch)
-        a = np.asarray(positions, dtype=np.int64) - 1
+        dtype = _position_dtype(n)
+        a = np.asarray(positions, dtype=np.int64)
+        if a.size and (int(a.min()) < 1 or int(a.max()) > n):
+            raise ValueError(f"positions outside [1, {n}]")
+        a = a.astype(dtype) - 1
         if a.ndim == 1:
             a = np.broadcast_to(a, (k, a.size))
         if a.shape[0] != k:
@@ -198,8 +213,8 @@ class HadamardCorrector:
             done = [self.correct_batch(reader, b, p, rng, repeats) for b, p in parts]
             return np.concatenate(done)
         # Each estimate reads the pair (a ^ r, r), in that order.
-        pos = np.empty((k, L, repeats, 2, 2), dtype=np.int64)
-        r = rng.integers(0, n, size=(k, L, repeats, 2))
+        pos = np.empty((k, L, repeats, 2, 2), dtype=dtype)
+        r = rng.integers(0, n, size=(k, L, repeats, 2), dtype=dtype)
         np.bitwise_xor(a[:, :, None, None], r, out=pos[..., 0])
         pos[..., 1] = r
         del r  # not held through the read

@@ -156,6 +156,39 @@ def test_merged_matches_unique_and_add_at_bit_for_bit(data):
     assert p.weights.tobytes() == sums.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_draw_atoms_matches_rng_choice_bit_for_bit(data):
+    """Guide-table draws equal ``rng.choice(k, size=count, p=weights)`` and
+    leave the generator where ``choice`` leaves it.
+
+    Weights are even, random, skewed (a high power of uniforms), one tiny
+    atom beside large ones, or integer counts over their total, each with
+    the float residue of its sum put on the last atom.
+    """
+    k = data.draw(st.integers(1, 100))
+    count = data.draw(st.integers(1, 5000))
+    rng = new_rng(data.draw(st.integers(0, 2**32)))
+    shape = data.draw(st.sampled_from(["even", "random", "skewed", "tiny", "counts"]))
+    raw = {
+        "even": np.ones(k),
+        "random": rng.random(k) + 1e-3,
+        "skewed": rng.random(k) ** 12 + 1e-15,
+        "tiny": np.concatenate([[1e-9], rng.random(k - 1) + 1.0])[:k],
+        "counts": rng.integers(1, 7, size=k).astype(np.float64),
+    }[shape]
+    weights = raw / raw.sum()
+    weights[-1] += 1.0 - weights.sum()
+    rows = (np.arange(k)[:, None] >> np.arange(7) & 1).astype(np.uint8)
+    p = FiniteDistribution(rows=rows, weights=weights)
+    seed = data.draw(st.integers(0, 2**32))
+    mine, theirs = new_rng(seed), new_rng(seed)
+    got = p.draw_atoms(mine, count)
+    want = theirs.choice(k, size=count, p=weights)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert mine.random() == theirs.random()
+
+
 class TestAsBitArray:
     MESSAGE = "bit strings contain only the characters 0 and 1"
 
@@ -301,6 +334,19 @@ class TestBilledOracle:
         assert vals.shape == (3, 2)
         assert o.queries_used == 6
         assert np.array_equal(vals, np.array([[0, 1], [1, 1], [0, 1]]))
+
+    def test_query_block_reads_int32_positions_like_int64(self):
+        p = FiniteDistribution.uniform_over(["01101001", "11110000", "00010111"])
+        oracles = [BilledOracle([p], seed=3) for _ in range(2)]
+        batches = [o.draw(5) for o in oracles]
+        pos = np.array([[1, 8, 8, 2], [3, 3, 5, 6], [7, 1, 2, 4], [8, 7, 6, 5], [2, 2, 2, 2]])
+        for positions in (pos, pos[0]):
+            wide = oracles[0].query_block(batches[0], positions)
+            narrow = oracles[1].query_block(batches[1], positions.astype(np.int32))
+            assert np.array_equal(wide, narrow)
+            assert oracles[0].queries_used == oracles[1].queries_used
+        with pytest.raises(ValueError, match="outside"):
+            oracles[1].query_block(batches[1], np.array([0, 9], dtype=np.int32))
 
     def test_deterministic_given_seed(self):
         p = FiniteDistribution.uniform_over(["0" * 16, "1" * 16])

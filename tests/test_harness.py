@@ -165,14 +165,19 @@ class TestTesterRegistry:
 
 class TestRunExperiment:
     def test_deterministic_across_worker_counts(self):
-        serial = run_experiment(_support_spec(workers=1)).to_json_dict()
-        threaded = run_experiment(_support_spec(workers=4)).to_json_dict()
-        # the experiment block records the requested worker count; everything
-        # the trials produced must be byte-identical
-        spec_s, spec_t = serial.pop("spec"), threaded.pop("spec")
-        assert spec_s.pop("workers") == 1 and spec_t.pop("workers") == 4
-        assert spec_s == spec_t
-        assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
+        # pair equality draws from two explicit sources that every worker
+        # thread shares, with their draw tables
+        pair = dict(name="pair-eq", tester="pair-equality",
+                    tester_params={"m": 4, "eps": 0.5}, sources=[_SUBSET, _SUBSET])
+        for params in ({}, pair):
+            serial = run_experiment(_support_spec(**params, workers=1)).to_json_dict()
+            threaded = run_experiment(_support_spec(**params, workers=4)).to_json_dict()
+            # the experiment block records the requested worker count; everything
+            # the trials produced must be byte-identical
+            spec_s, spec_t = serial.pop("spec"), threaded.pop("spec")
+            assert spec_s.pop("workers") == 1 and spec_t.pop("workers") == 4
+            assert spec_s == spec_t
+            assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
 
     def test_report_shape_and_rates(self):
         rep = run_experiment(_support_spec())

@@ -103,6 +103,20 @@ def _stacked_correction(reader, batch, positions, rng, repeats):
     return np.where(2 * ones > repeats, 1, np.where(2 * zeros > repeats, 0, -1)).astype(np.int8)
 
 
+@pytest.mark.parametrize("n", [1, 128, 1000, 4096, 1 << 20])
+def test_int32_probe_draws_repeat_the_int64_stream(n):
+    """The batch bodies draw probe positions as int32.  For ranges below
+    2^32 numpy gives the values of the int64 draw and leaves the generator
+    in the same state, so the next draw matches too."""
+    narrow, wide = new_rng(n), new_rng(n)
+    for size in [(3, 5, 7), (2, 1, 9, 2)]:
+        got = narrow.integers(0, n, size=size, dtype=np.int32)
+        want = wide.integers(0, n, size=size)
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+        assert narrow.integers(0, 2**40) == wide.integers(0, 2**40)
+        assert narrow.random() == wide.random()
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_batch_bodies_match_the_stacked_probe_construction(seed):
     """The batch bodies build their probes in one buffer; verdicts, corrected
@@ -360,6 +374,18 @@ class TestHadamardCorrector:
         with pytest.raises(ValueError):
             HadamardCorrector().correct_batch(
                 oracle, batch, np.ones((2, 4), dtype=np.int64), new_rng(0), repeats=3
+            )
+
+
+    @pytest.mark.parametrize("position", [0, 65, 2**32 + 1])
+    def test_batch_rejects_positions_outside_the_string(self, position):
+        # 2^32 + 1 would wrap to 1 in the int32 probe arrays
+        p = _codeword_dist(6, ["010001", "101100"])
+        oracle = BilledOracle([p], seed=2)
+        batch = oracle.draw(3)
+        with pytest.raises(ValueError, match="outside"):
+            HadamardCorrector().correct_batch(
+                oracle, batch, np.array([1, position]), new_rng(0), repeats=3
             )
 
 

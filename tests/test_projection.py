@@ -82,11 +82,13 @@ class TestGrainedTester:
         assert accepts >= 17
 
     def test_rejects_off_grain_instance(self):
-        # weights 0.75/m and 1.25/m sit 1/8 in TV from the 2-grained set,
-        # past the eps/4 that the lifted rule accepts
+        # weights 0.75/m and 1.25/m sit 1/8 in TV from the 2-grained set, and
+        # the two atoms are complementary strings (ground distance 1), so the
+        # instance is exactly 1/8 from the 2-grained set in transport
+        # distance: eps-far at eps = 0.125 and no farther
         p = FiniteDistribution(atoms=[("0" * 32, 0.375), ("1" * 32, 0.625)])
         rejects = sum(
-            not grained_tester(BilledOracle([p], seed=s), m=2, eps=0.2, seed=s).accepted
+            not grained_tester(BilledOracle([p], seed=s), m=2, eps=0.125, seed=s).accepted
             for s in range(30)
         )
         assert rejects >= 27

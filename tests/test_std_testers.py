@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from probedist.constants import DEFAULT_CONSTANTS
-from probedist.core import new_rng
+from probedist.core import new_rng, pack_rows
 from probedist.std_testers import (
     GrainedInner,
     SupportInner,
+    _paired_counts,
     collision_statistic,
     equality_threshold,
     std_equality_tester,
@@ -161,6 +162,43 @@ class TestEqualityStatistic:
     def test_empty_side_raises(self):
         with pytest.raises(ValueError):
             std_equality_tester(np.zeros(0), np.zeros(3), 4, 0.2, 10.0)
+
+
+def _paired_counts_reference(a, b):
+    """Counts through one np.unique(return_inverse) over both sides."""
+    _, inverse = np.unique(np.concatenate([a, b]), return_inverse=True)
+    k = int(inverse.max()) + 1
+    return (np.bincount(inverse[: a.size], minlength=k),
+            np.bincount(inverse[a.size :], minlength=k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+@example(data=None)
+def test_paired_counts_match_one_unique_over_both_sides(data):
+    """Per-side counts placed on the union equal the joint np.unique counts,
+    labels in the same order, on uint64 keys (rows of at most 64 bits) and
+    void keys (wider rows), with disjoint and single-label sides."""
+    if data is None:  # disjoint sides, one of them a single label
+        a = pack_rows(np.zeros((5, 70), dtype=np.uint8))
+        b = pack_rows(np.eye(70, dtype=np.uint8)[[3, 9, 3]])
+    else:
+        width = data.draw(st.sampled_from([1, 7, 18, 64, 65, 130]))
+        rng = new_rng(data.draw(st.integers(0, 2**32)))
+        pool = rng.integers(0, 2, size=(data.draw(st.integers(2, 12)), width), dtype=np.uint8)
+        cut = data.draw(st.integers(1, len(pool) - 1))
+        ranges = [(0, cut), (cut, len(pool))]
+        if data.draw(st.booleans()):  # both sides draw from the whole pool
+            ranges = [(0, len(pool))] * 2
+        a, b = (
+            pack_rows(pool[rng.integers(lo, hi, size=data.draw(st.integers(1, 300)))])
+            for lo, hi in ranges
+        )
+    want = _paired_counts_reference(a, b)
+    got = _paired_counts(a, b)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert collision_statistic(*got) == collision_statistic(*want)
 
 
 def test_label_invariance():
