@@ -34,7 +34,6 @@ __all__ = [
     "perturb_dist",
     "coordinate_noise_dist",
     "iso_copies_dist",
-    "relabel",
     "mixture",
     "LinearCode",
     "hadamard_code",
@@ -275,34 +274,6 @@ def iso_copies_dist(adjacency) -> FiniteDistribution:
     # counts / v!: adding v! weights of 1/v! can differ in the last bit.
     uniq, counts = _merge_rows(relabeled)
     return FiniteDistribution(rows=uniq, weights=_exact_unit_weights(counts / len(perms)))
-
-
-def relabel(p: FiniteDistribution, seed) -> FiniteDistribution:
-    """Replace every atom with a fresh random distinct string, same weights.
-
-    Preserves exactly the collision structure of sampling, which is all the
-    collision-based testers can see.
-    """
-    rng = new_rng(seed)
-    k, n = p.support_size, p.n
-    if n <= 20:
-        if k > (1 << n):
-            raise ValueError("more atoms than strings")
-        codes = rng.choice(1 << n, size=k, replace=False)
-        rows = ((codes[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
-    else:
-        seen: set = set()
-        rows_list = []
-        while len(rows_list) < k:
-            cand = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
-            for row, key in zip(cand, pack_rows(cand).tolist()):
-                if key not in seen:
-                    seen.add(key)
-                    rows_list.append(row)
-                    if len(rows_list) == k:
-                        break
-        rows = np.stack(rows_list)
-    return FiniteDistribution(rows=rows, weights=p.weights.copy())
 
 
 def mixture(components, weights) -> FiniteDistribution:

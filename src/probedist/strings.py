@@ -301,7 +301,7 @@ def _all_permutations(v: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(v))), dtype=np.int64)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ExactIsomorphismTester:
     """Exact graph-isomorphism check between two adjacency-matrix samples.
 
@@ -310,31 +310,18 @@ class ExactIsomorphismTester:
     each given as a 1-sample batch of a reader.  Reads both strings fully,
     brings each matrix to the lexicographically least row-major form over
     all vertex relabelings, and compares.  Brute force over v! relabelings,
-    so v is capped at ``MAX_VERTICES`` by default; canonical forms are
-    cached per sample, keyed by the batch's (token, source, row), which
-    keeps t-sample runs at one canonicalisation per sample.  The cache holds
-    the samples of one oracle at a time: a sample of another oracle empties
-    it.
+    so v is capped at ``MAX_VERTICES`` by default.  A caller comparing many
+    samples with one reference keeps the reference's ``canonical`` form.
     """
 
     max_vertices: int = MAX_VERTICES
     one_sided: ClassVar[bool] = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "_cache_token", None)
-
     def query_budget(self, n: int, eps: float) -> int:
         return 2 * n
 
-    def _canonical(self, reader, sample) -> bytes:
-        key = (sample.token, sample.source, int(sample.rows[0]))
-        if key[0] != self._cache_token:
-            self._cache.clear()
-            object.__setattr__(self, "_cache_token", key[0])
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+    def canonical(self, reader, sample) -> bytes:
+        """Least row-major form of the 1-sample batch's graph over relabelings."""
         n = reader.n
         v = math.isqrt(n)
         if v * v != n:
@@ -344,10 +331,8 @@ class ExactIsomorphismTester:
         mat = reader.query_block(sample, np.arange(1, n + 1)).reshape(v, v)
         perms = _all_permutations(v)
         relabeled = mat[perms[:, :, None], perms[:, None, :]].reshape(len(perms), n)
-        canon = np.sort(pack_rows(relabeled))[0].tobytes()
-        self._cache[key] = canon
-        return canon
+        return np.sort(pack_rows(relabeled))[0].tobytes()
 
     def test(self, reader, a, b, eps: float, rng: np.random.Generator) -> bool:
         """True iff the 1-sample batches ``a`` and ``b`` hold isomorphic graphs."""
-        return self._canonical(reader, a) == self._canonical(reader, b)
+        return self.canonical(reader, a) == self.canonical(reader, b)

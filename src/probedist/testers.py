@@ -244,10 +244,13 @@ def membership_tester(
 ) -> TesterReport:
     """Test that X only produces strings with the given property.
 
-    plain: t = ceil(c / eps) samples, each judged at proximity eps/2 by an
-    odd r = ceil(c_amp * ln(1/eps + 1)) runs of the string tester.  Reject
-    iff some sample is judged rejecting.  One-sided when the string tester
-    is.
+    Both modes run a schedule of rounds; each round judges fresh samples,
+    and the first round with a rejected sample rejects.  One-sided when the
+    string tester is.
+
+    plain: one round of t = ceil(c / eps) samples, each judged at proximity
+    eps/2 by an odd r = ceil(c_amp * ln(1/eps + 1)) runs of the string
+    tester.
 
     staged: rounds i = 1 .. ceil(log2(16/eps)); round i judges
     ceil(c_staged * i^2 * 2^i) fresh samples at proximity
@@ -261,35 +264,29 @@ def membership_tester(
     rng = new_rng(seed)
     n = oracle.n
     if mode == "plain":
-        t = math.ceil(constants.membership_samples / eps)
-        r = _odd(math.ceil(constants.amplification * _ln1p(1.0 / eps)))
-        prox = eps / 2.0
-        bound = t * r * string_tester.query_budget(n, prox)
-        batch = oracle.draw(t)
-        rejected = _judge_samples(oracle, batch, string_tester, prox, rng, r)
-        trace = {
-            "tester": "membership",
-            "params": {"eps": eps, "mode": mode},
-            "sizes": {"samples": t, "runs_per_sample": r, "proximity": prox},
-            "rejected_samples": int(rejected.sum()),
-            "budget": _budget("bound", bound, "t * r * tester_budget"),
-        }
-        return finish_report(oracle, not bool(rejected.any()), trace)
-    if mode != "staged":
+        schedule = [{
+            "round": 1,
+            "samples": math.ceil(constants.membership_samples / eps),
+            "proximity": eps / 2.0,
+            "runs": _odd(math.ceil(constants.amplification * _ln1p(1.0 / eps))),
+        }]
+    elif mode == "staged":
+        schedule = []
+        for i in range(1, math.ceil(math.log2(16.0 / eps)) + 1):
+            t_i = math.ceil(constants.staged_samples * i * i * 2.0**i)
+            prox_i = min(1.0, 2.0 ** (i - 3) * eps)
+            r_i = 1 if string_tester.one_sided else _odd(
+                math.ceil(constants.amplification * _ln1p(t_i))
+            )
+            schedule.append({"round": i, "samples": t_i, "proximity": prox_i, "runs": r_i})
+    else:
         raise ValueError("mode must be 'plain' or 'staged'")
-    rounds = max(1, math.ceil(math.log2(16.0 / eps)))
-    schedule = []
-    bound = 0
+    bound = sum(
+        step["samples"] * step["runs"] * string_tester.query_budget(n, step["proximity"])
+        for step in schedule
+    )
     rejected_total = 0
-    for i in range(1, rounds + 1):
-        t_i = math.ceil(constants.staged_samples * i * i * 2.0**i)
-        prox_i = min(1.0, 2.0 ** (i - 3) * eps)
-        r_i = 1 if string_tester.one_sided else _odd(
-            math.ceil(constants.amplification * _ln1p(t_i))
-        )
-        bound += t_i * r_i * string_tester.query_budget(n, prox_i)
-        schedule.append({"round": i, "samples": t_i, "proximity": prox_i, "runs": r_i})
-    for i, step in enumerate(schedule, start=1):
+    for step in schedule:
         batch = oracle.draw(step["samples"])
         rejected = _judge_samples(
             oracle, batch, string_tester, step["proximity"], rng, step["runs"]
@@ -690,13 +687,17 @@ def cyclic_shift_tester(
     further sample is drawn when its comparison starts, so a run that
     rejects early draws no sample it never reads.
 
-    plain: t = ceil(c / eps) samples; each comparison uses
+    Both modes run a schedule of rounds, each comparing fresh samples.
+
+    plain: one round of t - 1 comparisons, t = ceil(c / eps); each uses
     m = ceil(c * sqrt(n * ln(t+1))) candidate rotations per side and
     ell = ceil(c * ln(n/eps + 1) / eps) probe offsets.
 
     staged: round r = 1, 2, ... compares t_r = ceil(c * 2^-r * ln(1/eps+1)/eps)
-    fresh samples (until t_r hits zero) at ell_r = ceil(c * 2^r * ln(n/eps+1))
-    offsets, so blatantly far samples are caught cheaply in early rounds.
+    fresh samples at ell_r = ceil(c * 2^r * ln(n/eps+1)) offsets, so
+    blatantly far samples are caught cheaply in early rounds.  Rounds stop
+    once c * 2^-r * ln(1/eps+1)/eps falls below 1, except round 1, which
+    always compares at least one sample.
 
     Budget: probe positions are modular sums and can repeat, so the bill is
     the number of distinct (sample, position) pairs; the tester recounts
@@ -705,50 +706,37 @@ def cyclic_shift_tester(
     _check_eps(eps)
     rng = new_rng(seed)
     n = oracle.n
-    audit: dict[int, list] = {}
-    ref = oracle.draw(1)
-    comparisons = []
     if mode == "plain":
         t = max(2, math.ceil(constants.ideal_samples / eps))
-        m_shifts = math.ceil(constants.shift_count * math.sqrt(n * _ln1p(t)))
-        ell = math.ceil(constants.offset_count * _ln1p(n / eps) / eps)
-        mismatch = False
-        for _ in range(t - 1):
-            ok = _rotation_pair_match(
-                oracle, ref, oracle.draw(1), m_shifts, ell, rng, audit
-            )
-            comparisons.append(ok)
-            if not ok:
-                mismatch = True
-                break
-        schedule = [{"samples": t - 1, "shifts": m_shifts, "offsets": ell}]
+        schedule = [{
+            "round": 1,
+            "samples": t - 1,
+            "shifts": math.ceil(constants.shift_count * math.sqrt(n * _ln1p(t))),
+            "offsets": math.ceil(constants.offset_count * _ln1p(n / eps) / eps),
+        }]
     elif mode == "staged":
-        base = constants.ideal_samples * _ln1p(1.0 / eps) / eps
-        mismatch = False
         schedule = []
-        r = 1
-        while True:
-            raw = base * 2.0**-r
-            if raw < 1.0:
-                break
+        raw = constants.ideal_samples * _ln1p(1.0 / eps) / eps / 2.0
+        # Round 1 always runs: at a large eps its raw size falls below 1.
+        while not schedule or raw >= 1.0:
+            r = len(schedule) + 1
             t_r = math.ceil(raw)
             ell_r = math.ceil(constants.offset_count * 2.0**r * _ln1p(n / eps))
             m_r = math.ceil(constants.shift_count * math.sqrt(n * _ln1p(t_r)))
             schedule.append({"round": r, "samples": t_r, "shifts": m_r, "offsets": ell_r})
-            r += 1
-        for step in schedule:
-            if mismatch:
-                break
-            for _ in range(step["samples"]):
-                ok = _rotation_pair_match(
-                    oracle, ref, oracle.draw(1), step["shifts"], step["offsets"], rng, audit
-                )
-                comparisons.append(ok)
-                if not ok:
-                    mismatch = True
-                    break
+            raw /= 2.0
     else:
         raise ValueError("mode must be 'plain' or 'staged'")
+    audit: dict[int, list] = {}
+    ref = oracle.draw(1)
+    comparisons = []
+    # one step per comparison, in schedule order
+    for step in (s for s in schedule for _ in range(s["samples"])):
+        comparisons.append(_rotation_pair_match(
+            oracle, ref, oracle.draw(1), step["shifts"], step["offsets"], rng, audit
+        ))
+        if not comparisons[-1]:
+            break
     billed = sum(
         int(np.unique(np.concatenate(chunks)).size) for chunks in audit.values()
     )
@@ -762,7 +750,7 @@ def cyclic_shift_tester(
             "exact", billed, "distinct (sample, position) pairs probed (recounted)"
         ),
     }
-    return finish_report(oracle, not mismatch, trace)
+    return finish_report(oracle, all(comparisons), trace)
 
 
 def shift_law_tester(
@@ -855,10 +843,10 @@ def graph_copies_tester(
     t = ceil(c / eps) samples and rejects at the first (first, i-th) pair
     the isomorphism tester rejects; the i-th sample is drawn when its pair
     is compared, so a run that rejects early draws no sample it never
-    reads.  The isomorphism tester reads both
-    matrices fully and compares canonical relabelings exactly, which is
-    correct, one-sided, and pays at most n per distinct sample thanks to
-    per-sample caching.
+    reads.  Each sample is read fully once and brought to its canonical
+    relabeling, which is compared exactly with the reference's: correct,
+    one-sided, and at most n bits per sample.  The tester makes no random
+    choice, so ``seed`` goes unused.
     """
     _check_eps(eps)
     n = oracle.n
@@ -866,15 +854,17 @@ def graph_copies_tester(
     if v * v != n:
         raise ValueError("adjacency strings need square length n = v^2")
     iso = ExactIsomorphismTester()
-    rng = new_rng(seed)
     t = max(2, math.ceil(constants.ideal_samples / eps))
     ref = oracle.draw(1)
-    mismatch = False
-    checked = 0
-    for _ in range(t - 1):
-        checked += 1
-        if not iso.test(oracle, ref, oracle.draw(1), eps, rng):
-            mismatch = True
+    ref_form = None
+    for checked in range(1, t):
+        sample = oracle.draw(1)
+        # The reference is read only after the first draw: on a product
+        # source a read draws bits, so reading it earlier moves the stream.
+        if ref_form is None:
+            ref_form = iso.canonical(oracle, ref)
+        accept = iso.canonical(oracle, sample) == ref_form
+        if not accept:
             break
     trace = {
         "tester": "graph-copies",
@@ -884,4 +874,4 @@ def graph_copies_tester(
             "bound", t * iso.query_budget(n, eps), "t * pair_tester_budget"
         ),
     }
-    return finish_report(oracle, not mismatch, trace)
+    return finish_report(oracle, accept, trace)

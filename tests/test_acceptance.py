@@ -2,7 +2,9 @@
 
 Each test prints one verdict line "ACCEPTANCE <k> <name>: PASS|FAIL".  Tester
 runs from the Monte Carlo criteria are collected in REGISTRY so the budget-law
-criterion can audit every single run afterwards.
+criterion can audit every single run afterwards; it also audits one run of
+every registered tester on its fixed spec, so it checks them all when run
+alone.
 """
 
 import math
@@ -11,6 +13,8 @@ import time
 import numpy as np
 import pytest
 
+from fixed_specs import FIXED_SPECS
+from probedist.constants import DEFAULT_CONSTANTS
 from probedist.core import BilledOracle, FiniteDistribution, new_rng, pack_rows, random_subset
 from probedist.distances import dist_to_support_m, emd, grain_round, tv
 from probedist.generators import (
@@ -22,7 +26,7 @@ from probedist.generators import (
     shift_dist,
     uniform_random_subset,
 )
-from probedist.harness import wilson_interval
+from probedist.harness import TESTERS, build_source, wilson_interval
 from probedist.std_testers import SupportInner, collision_statistic
 from probedist.strings import hadamard_property
 from probedist.testers import (
@@ -387,11 +391,21 @@ def test_criterion_08_self_correcting_tester():
     assert ok, f"missed the {missed}: {detail}"
 
 
+def _fixed_spec_runs() -> list:
+    """One run of every registered tester on its fixed spec."""
+    runs = []
+    for name, (params, sources, _) in sorted(FIXED_SPECS.items()):
+        oracle = BilledOracle([build_source(src, i) for i, src in enumerate(sources)], seed=9)
+        report = TESTERS[name](oracle, params, DEFAULT_CONSTANTS, 9)
+        runs.append((f"fixed-{name}", oracle.n, report))
+    return runs
+
+
 def test_criterion_09_budget_law():
-    if not REGISTRY:
-        pytest.skip("needs the Monte Carlo criteria to run first in this session")
+    fixed = _fixed_spec_runs()
+    assert {label for label, _, _ in fixed} == {f"fixed-{name}" for name in TESTERS}
     violations = []
-    for label, n, rep in REGISTRY:
+    for label, n, rep in REGISTRY + fixed:
         samples = sum(rep.samples_used)
         budget = rep.trace["budget"]
         if budget["kind"] == "exact":
@@ -404,7 +418,8 @@ def test_criterion_09_budget_law():
             violations.append((label, "sample-query-law", samples, rep.queries_used))
     ok = not violations
     _verdict(9, "budget-law", ok,
-             f"{len(REGISTRY)} runs audited, {len(violations)} violations")
+             f"{len(REGISTRY)} criterion runs and {len(fixed)} fixed-spec runs audited, "
+             f"{len(violations)} violations")
     assert ok, violations[:5]
 
 

@@ -18,7 +18,6 @@ from probedist.generators import (
     iso_copies_dist,
     mixture,
     perturb_dist,
-    relabel,
     shift_dist,
     uniform_random_subset,
 )
@@ -250,28 +249,6 @@ class TestIsoCopies:
         assert p.support_size < len(perms)
         assert np.array_equal(p.rows, uniq)
         assert p.weights.tobytes() == weights.tobytes()
-
-
-class TestRelabel:
-    def test_preserves_weights_and_size(self):
-        p = FiniteDistribution(
-            rows=np.stack([new_rng(i).integers(0, 2, 12).astype(np.uint8) for i in range(5)]),
-            weights=np.array([0.4, 0.3, 0.15, 0.1, 0.05]),
-        )
-        q = relabel(p, 3)
-        assert q.n == 12
-        assert q.support_size == 5
-        assert np.array_equal(q.weights, p.weights)
-
-    def test_deterministic_per_seed(self):
-        p = uniform_random_subset(2, n=10, m=6)
-        assert np.array_equal(relabel(p, 9).rows, relabel(p, 9).rows)
-        assert not np.array_equal(relabel(p, 9).rows, relabel(p, 10).rows)
-
-    def test_wide_string_branch(self):
-        p = uniform_random_subset(4, n=40, m=8)
-        q = relabel(p, 1)
-        assert q.support_size == 8 and q.n == 40
 
 
 class TestMixture:

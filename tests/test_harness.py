@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fixed_specs import FIXED_SPECS, HADAMARD, PATH4, SUBSET, X16
 from probedist.constants import DEFAULT_CONSTANTS, Constants
 from probedist.core import FiniteDistribution
 from probedist.generators import coordinate_noise_dist, uniform_random_subset
@@ -168,7 +169,7 @@ class TestRunExperiment:
         # pair equality draws from two explicit sources that every worker
         # thread shares, with their draw tables
         pair = dict(name="pair-eq", tester="pair-equality",
-                    tester_params={"m": 4, "eps": 0.5}, sources=[_SUBSET, _SUBSET])
+                    tester_params={"m": 4, "eps": 0.5}, sources=[SUBSET, SUBSET])
         for params in ({}, pair):
             serial = run_experiment(_support_spec(**params, workers=1)).to_json_dict()
             threaded = run_experiment(_support_spec(**params, workers=4)).to_json_dict()
@@ -227,49 +228,43 @@ class TestRunExperiment:
         assert rep.success_rate is None
 
 
-# One small fixed spec per registered tester, and the sha256 of its
-# run_experiment JSON (json.dumps(report.to_json_dict(), indent=2)).  The
-# harness seed discipline makes those bytes a pure function of the spec, so
-# a refactor of the tester registry or the testers must leave them unchanged;
-# a stream that changes on purpose needs its digest re-recorded here.
-_S16 = {"kind": "uniform-strings",
-        "params": {"strings": ["0011001100110011", "1100110011001100"]}}
-_X16 = "0110100110010110"
-_HADAMARD = {"kind": "hadamard-codewords", "params": {"k": 4, "messages": ["0001", "0110"]}}
-_PATH4 = [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
-_SUBSET = {"kind": "uniform-random-subset", "params": {"n": 32, "m": 4, "min_distance": 0.3}}
+def _report_digest(name, tester, params, sources, trials, seed) -> str:
+    spec = ExperimentSpec(name=name, tester=tester, tester_params=params,
+                          sources=sources, trials=trials, seed=seed)
+    text = json.dumps(run_experiment(spec).to_json_dict(), indent=2)
+    return hashlib.sha256(text.encode()).hexdigest()
 
-FIXED_SPECS = {
-    "support": ({"m": 2, "eps": 0.5}, [_S16],
-                "989fb129342009bd35cede1063749aa5dc228743d8b81f3923f89c6d9483701c"),
-    "grained": ({"m": 2, "eps": 0.5}, [_S16],
-                "44a6a921c1e566caa0855c5a0ed5512adcc4a2c0ffb9d3249f429a5026229081"),
-    "uniformity": ({"m": 2, "eps": 0.5}, [_S16],
-                   "a75b9eaa2c8aca74943065c88dd2be36b9d85d423cfcbcaf18498b7b3ff459c6"),
-    "pair-equality": ({"m": 4, "eps": 0.5}, [_SUBSET, _SUBSET],
-                      "d2303a04be8e7224f884b51179872b84e25f7450608fc20f40f30116c8838cb8"),
-    "perturbation": ({"eta": 0.1, "delta": 0.3, "eps": 0.5},
-                     [{"kind": "perturbation",
-                       "params": {"x": "0" * 32, "eta": 0.1, "delta": 0.3}}],
-                     "730c0cfbb2418b42f1a391667950b102d476142e2532fa2bcfd0ae15c4b754f9"),
-    "rotation-family": ({"eps": 0.5, "mode": "staged"},
-                        [{"kind": "rotations", "params": {"x": _X16}}],
-                        "845c73882b7b20feb2cc17893524fa146af1b01715fc8fd66d903a9411e3ba67"),
-    "rotation-law": ({"law": [1 / 16] * 16, "eps": 0.5},
-                     [{"kind": "rotations", "params": {"x": _X16}}],
-                     "c2c1124af825c7ca9d7fd0646cc8c5d1d9bbb949387a6e419f3530257f31f6e3"),
-    "graph-copies": ({"eps": 0.5}, [{"kind": "graph-copies", "params": {"adjacency": _PATH4}}],
-                     "6feb0ce06a6a4656b06fa3a22ecdd56723e77db34d1833cf6d44fcad4f4ef5d1"),
-    "membership": ({"eps": 0.5, "mode": "staged"}, [_HADAMARD],
-                   "0a688f1006d826e8dd5f6ca1df4bcb99f5064b1b5c5a72d6c20f6e72495c9268"),
-    "noisy-membership": ({"eta": 0.1, "delta": 0.3, "eps": 0.5},
-                         [{"kind": "coordinate-noise",
-                           "params": {"x": "0" * 32, "flip_probs": [0.05] * 32}}],
-                         "ff935a67b9e3249ea860260c0bf4495557824d1ac9a11b796056e009c9ce132a"),
-    "projected": ({"inner": "grained", "m": 2, "eps": 0.5}, [_S16],
-                  "22117b20a1041a102df7a1e26e7c84719b1eb2a51ab64af499b0e4783f778047"),
-    "self-correcting-hadamard": ({"k": 4, "m": 2, "eps": 0.5}, [_HADAMARD],
-                                 "72f6082364db3e78adb6330ec8c7e4454f69817543e9c30ec67a61a9f601bcdd"),
+
+# Streams FIXED_SPECS leaves unpinned: the plain modes, the staged modes on
+# other sources, and graph copies on a product source, whose reads draw bits.
+# Each entry is (tester, params, sources, sha256 at trials=12, seed=7).
+_NOISY_PATH4 = {"kind": "coordinate-noise",
+                "params": {"x": "".join(map(str, sum(PATH4, []))), "flip_probs": [0.004] * 16}}
+_CONSTANT_OR_NOT = {"kind": "atoms", "params": {"atoms": [
+    ["0" * 16, 0.49], ["1" * 16, 0.49], ["0011001100110011", 0.02]]}}
+_EARLY_PAIR = {"kind": "uniform-strings", "params": {"strings": ["0001", "0011"]}}
+MODE_SPECS = {
+    "membership-plain-linearity": (
+        "membership", {"eps": 0.5}, [HADAMARD],
+        "581fbf9923fb071cb0c348791c529b620a9c08468462026cce7bee1c7f602291"),
+    "membership-plain-constant": (
+        "membership", {"property": "constant", "eps": 0.5}, [_CONSTANT_OR_NOT],
+        "b399192f8c9ea469a2552fabd746013f650fbae643ef7461fcd2956f9863e253"),
+    "membership-staged-constant": (
+        "membership", {"property": "constant", "eps": 0.5, "mode": "staged"}, [_CONSTANT_OR_NOT],
+        "df72fea33eea8c33febc32e8762ba9ad2ad407681e037b2361193e516fa6ebfd"),
+    "rotation-family-plain": (
+        "rotation-family", {"eps": 0.5}, [{"kind": "rotations", "params": {"x": X16}}],
+        "03e9440ad7117bf778b7cc15bebf6cbba92b46121397e9dcb26a7b3e9dfbe771"),
+    "rotation-family-plain-reject": (
+        "rotation-family", {"eps": 0.1}, [_EARLY_PAIR],
+        "9b724ad3cdc42ed88c5a33e0aadf3d46d6ecb34f584f82dd291802c4a4973883"),
+    "rotation-family-staged-reject": (
+        "rotation-family", {"eps": 0.1, "mode": "staged"}, [_EARLY_PAIR],
+        "881c41c2db0940ea14c973ab4c915c00641ea67e147d4f037d542b93040232f7"),
+    "graph-copies-coordinate-noise": (
+        "graph-copies", {"eps": 0.5}, [_NOISY_PATH4],
+        "59faf1eb4eeca6fa4258c763d9fbe46277734e14d10f950ba81dbc4ccaf47124"),
 }
 
 
@@ -280,11 +275,14 @@ class TestFixedSpecReports:
     @pytest.mark.parametrize("tester", sorted(FIXED_SPECS))
     def test_report_bytes_unchanged(self, tester):
         params, sources, digest = FIXED_SPECS[tester]
-        spec = ExperimentSpec(name=f"fixed-{tester}", tester=tester, tester_params=params,
-                              sources=sources, trials=4, seed=5)
-        text = json.dumps(run_experiment(spec).to_json_dict(), indent=2)
-        got = hashlib.sha256(text.encode()).hexdigest()
+        got = _report_digest(f"fixed-{tester}", tester, params, sources, trials=4, seed=5)
         assert got == digest, f"{tester}: run_experiment JSON changed"
+
+    @pytest.mark.parametrize("case", sorted(MODE_SPECS))
+    def test_mode_report_bytes_unchanged(self, case):
+        tester, params, sources, digest = MODE_SPECS[case]
+        got = _report_digest(case, tester, params, sources, trials=12, seed=7)
+        assert got == digest, f"{case}: run_experiment JSON changed"
 
 
 # Out-of-family sources that these testers reject at an early comparison.

@@ -230,6 +230,16 @@ class TestCyclicShiftTester:
         assert accepts == 10
         assert rejects >= 8
 
+    @pytest.mark.parametrize("eps", [0.9, 1.0])
+    def test_staged_large_eps_still_compares(self, eps):
+        # round 1's raw size falls below one sample here; it still runs
+        p = shift_dist("0110100110010110")
+        for s in range(5):
+            rep = cyclic_shift_tester(BilledOracle([p], seed=s), eps, seed=s, mode="staged")
+            assert [step["samples"] for step in rep.trace["schedule"]] == [1]
+            assert rep.accepted and rep.trace["comparisons_total"] == 1
+            assert rep.trace["budget"]["value"] == rep.queries_used
+
     def test_unknown_mode(self):
         p = FiniteDistribution.point("0101")
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from probedist.strings import (
     LinearityTester,
     hadamard_property,
 )
-from probedist.testers import membership_tester, self_correcting_tester
+from probedist.testers import graph_copies_tester, membership_tester, self_correcting_tester
 
 
 def _bits_to_str(bits) -> str:
@@ -289,7 +289,7 @@ class TestExactIsomorphismTester:
         oracle, a, b = self._samples(sa, sb)
         assert not ExactIsomorphismTester().test(oracle, a, b, 0.5, new_rng(0))
 
-    def test_canonical_forms_are_cached(self):
+    def test_rereading_a_sample_bills_nothing(self):
         sa = _adj_string(4, [(0, 1), (1, 2), (2, 3)])
         oracle, a, b = self._samples(sa, sa)
         t = ExactIsomorphismTester()
@@ -299,24 +299,41 @@ class TestExactIsomorphismTester:
         assert t.test(oracle, a, b, 0.5, new_rng(1))
         assert oracle.queries_used == spent
 
-    def test_cache_keeps_only_the_current_oracle(self):
-        sa = _adj_string(4, [(0, 1), (1, 2), (2, 3)])
-        t = ExactIsomorphismTester()
-        for _ in range(50):
-            oracle, a, b = self._samples(sa, sa)
-            assert t.test(oracle, a, b, 0.5, new_rng(0))
-            assert len(t._cache) == 2
+    def test_graph_copies_canonicalises_each_sample_once(self, monkeypatch):
+        calls = []
+        canonical = ExactIsomorphismTester.canonical
+
+        def counted(self, reader, sample):
+            calls.append(int(sample.rows[0]))
+            return canonical(self, reader, sample)
+
+        monkeypatch.setattr(ExactIsomorphismTester, "canonical", counted)
+        path = [(0, 1), (1, 2), (2, 3)]
+        copies = FiniteDistribution.uniform_over(
+            [_adj_string(4, path, perm=perm) for perm in ([0, 1, 2, 3], [2, 0, 3, 1])]
+        )
+        star = FiniteDistribution.uniform_over(
+            [_adj_string(4, path), _adj_string(4, [(0, 1), (0, 2), (0, 3)])]
+        )
+        verdicts = set()
+        for p in (copies, star):
+            for s in range(6):
+                calls.clear()
+                rep = graph_copies_tester(BilledOracle([p], seed=s), eps=0.5, seed=s)
+                verdicts.add(rep.accepted)
+                assert len(calls) == sum(rep.samples_used) == len(set(calls))
+        assert verdicts == {True, False}
 
     def test_rejects_non_square_length(self):
         oracle, batch = _sample_of(np.zeros(12, np.uint8))
         with pytest.raises(ValueError):
-            ExactIsomorphismTester()._canonical(oracle, batch)
+            ExactIsomorphismTester().canonical(oracle, batch)
 
     def test_vertex_cap(self):
         oracle, batch = _sample_of(np.zeros(64, np.uint8))
         with pytest.raises(ValueError):
-            ExactIsomorphismTester()._canonical(oracle, batch)
-        assert ExactIsomorphismTester(max_vertices=8)._canonical(oracle, batch)
+            ExactIsomorphismTester().canonical(oracle, batch)
+        assert ExactIsomorphismTester(max_vertices=8).canonical(oracle, batch)
 
 
 class TestHadamardCorrector:
@@ -433,11 +450,11 @@ class TestMembershipTester:
         p = _codeword_dist(6, ["110000", "100010"])
         oracle = BilledOracle([p], seed=0)
         rep = membership_tester(oracle, LinearityTester(), 0.25, seed=1)
-        sizes = rep.trace["sizes"]
+        (step,) = rep.trace["schedule"]
         c = DEFAULT_CONSTANTS
-        assert sizes["samples"] == math.ceil(c.membership_samples / 0.25)
-        assert sizes["runs_per_sample"] % 2 == 1
-        assert sizes["proximity"] == 0.125
+        assert step["samples"] == math.ceil(c.membership_samples / 0.25)
+        assert step["runs"] % 2 == 1
+        assert step["proximity"] == 0.125
         assert rep.trace["budget"]["kind"] == "bound"
         assert rep.queries_used <= rep.trace["budget"]["value"]
 
