@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a requested check fails (for example an
-invalid distribution file), 2 on usage errors or unreadable inputs.
+invalid distribution file) or the reader of stdout closes it before the
+output is written in full, 2 on usage errors or unreadable inputs.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .constants import DEFAULT_CONSTANTS
@@ -154,7 +156,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # Flushed here, so that a closed pipe raises inside this try.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # As the note on SIGPIPE in the docs of the signal module advises:
+        # point stdout at devnull, so the interpreter's final flush of what
+        # is still buffered does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 1
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2

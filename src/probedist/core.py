@@ -24,7 +24,14 @@ at or past it, such as a read straight after their draw, bills every pair it
 names, so it writes their cells without reading them first.  Rows that count
 up by one, as a draw's do, with ledger columns that do too, as sorted
 positions new to the ledger do, are addressed as one slice of the ledger;
-other reads index it with one flat index per pair.
+other reads index it with one flat index per pair.  A dense read, whose
+touched samples hold no more cells than it names pairs, bills through a
+bitmap over those samples instead, in one of two orders.  On an explicit or
+sampler-backed source, whose billing draws nothing, it reads the touched
+samples' bits first, then marks and reads each pair through the same index,
+and it marks no pair of a sample whose ledger row is already all billed.
+On a product source it marks every pair, bills, and only then reads, since
+billing draws the bits.
 
 Randomness: everything runs on numpy's PCG64 generator, with seeds split via
 ``numpy.random.SeedSequence``.  A (seed, parameters) pair therefore fixes
@@ -615,16 +622,13 @@ class BilledOracle:
         (len(handles), width) uint8 matrix.  Billing stays per distinct
         (handle, position) pair, duplicates inside the call included.
 
-        The call is first reduced to its distinct pairs, which are then
-        billed, and read back once billed.  A call whose
-        touched samples hold no more cells than it has pairs scatters into a
-        bitmap over those samples and reads its bits back from a table of
-        the same shape, both through one flat int64 index per pair (the
-        row's offset in the bitmap plus the position), built in row chunks
-        of at most ``_DENSE_CHUNK_PAIRS`` pairs; a call without repeats is
-        its own set of pairs; any other call sorts flat pair keys and drops
-        adjacent repeats.  A call without
-        repeats on samples no call has billed yet, as in
+        A call whose touched samples hold no more cells than it has pairs
+        is dense: :meth:`_query_dense` bills and reads it through
+        (touched, n) tables over those samples.  Any other call is first
+        reduced to its distinct pairs, which are then billed, and read back
+        once billed: a call without repeats is its own set of pairs, and any
+        other call sorts flat pair keys and drops adjacent repeats.  A call
+        without repeats on samples no call has billed yet, as in
         ``query_block(oracle.draw(s), positions)``, bills all its pairs
         without reading the ledger.  When its positions are sorted and new to
         the source, or are such a set of positions again, it addresses the
@@ -658,19 +662,31 @@ class BilledOracle:
         return store.bits(rows, pos)
 
     def _query_dense(self, store, rows, touched, increasing, pos) -> np.ndarray:
-        """Bill and read a call through a bitmap over its touched samples.
+        """Bill and read a call through (touched, n) tables over its samples.
 
-        Pair (row i, position p) is cell ``at[i] * (n + 1) + p`` of the
-        flattened bitmap, where ``at[i]`` is row i's index in ``touched``;
-        column 0 stays unused, so the caller's positions index it as is.
-        The flat index is built in chunks of at most ``_DENSE_CHUNK_PAIRS``
-        pairs, once to scatter into the bitmap and once to gather the bits
-        back from a table of the same shape.
+        Pair (row i, position p) is cell ``at[i] + p`` of the flattened
+        tables, where ``at[i]`` is n times row i's index in ``touched``,
+        minus 1 for the 1-based positions.  The flat index is int32 when
+        the tables fit it, and is built in chunks of at most
+        ``_DENSE_CHUNK_PAIRS`` pairs.  Each chunk scatters its pairs into a
+        bitmap of the pairs to bill and gathers its bits from a table of the
+        touched samples' bits.
+
+        A store whose billing draws nothing reads that table over all n
+        positions first, so one pass over the chunks builds each index once
+        and uses it for both.  When every position has a ledger column, a
+        touched sample whose ledger row is all billed can bill nothing new,
+        so its pairs are left out of the bitmap.  A product store draws
+        each bit when it bills it, one uniform per (touched sample, position
+        in the call), so it scatters every pair, bills, and then reads the
+        table in a second pass.
         """
-        stride = self._n + 1
-        hit = np.zeros((touched.size, stride), dtype=bool)
-        at = np.arange(rows.size) if increasing else np.searchsorted(touched, rows)
-        at *= stride
+        n = self._n
+        spot = np.arange(rows.size) if increasing else np.searchsorted(touched, rows)
+        # Indices run from -1 to touched * n - 1.
+        at = spot.astype(np.int32 if touched.size * n <= np.iinfo(np.int32).max else np.int64)
+        at *= n
+        at -= 1
         width = pos.shape[-1]
         step = max(1, _DENSE_CHUNK_PAIRS // width)
         chunks = [slice(lo, lo + step) for lo in range(0, rows.size, step)]
@@ -678,17 +694,33 @@ class BilledOracle:
         def index(chunk: slice) -> np.ndarray:
             return at[chunk, None] + (pos if pos.ndim == 1 else pos[chunk])
 
+        hit = np.zeros((touched.size, n), dtype=bool)
         cells = hit.reshape(-1)
-        for chunk in chunks:
-            cells[index(chunk)] = True
-        used = np.flatnonzero(hit.any(axis=0))
-        self._queries += store.bill(touched, used, hit[:, used])
-        table = np.zeros(hit.shape, dtype=np.uint8)
-        table[:, used] = store.bits(touched, used)
-        bits = table.reshape(-1)
         out = np.empty((rows.size, width), dtype=np.uint8)
+        live = None
+        if store.product is None:
+            bits = store.bits(touched, np.arange(1, n + 1)).reshape(-1)
+            if store.width == n:
+                billed = store.ledger[touched, :n].all(axis=1)
+                if billed.any():
+                    live = ~billed[spot]
         for chunk in chunks:
-            np.take(bits, index(chunk), out=out[chunk])
+            idx = index(chunk)
+            if store.product is None:
+                np.take(bits, idx, out=out[chunk])
+            if live is not None:
+                idx = idx[live[chunk]]
+            # numpy assigns through an intp index faster than through an
+            # int32 one, even counting the cast.
+            cells[idx.astype(np.intp, copy=False)] = True
+        used = np.flatnonzero(hit.any(axis=0))
+        self._queries += store.bill(touched, used + 1, hit[:, used])
+        if store.product is not None:
+            table = np.zeros(hit.shape, dtype=np.uint8)
+            table[:, used] = store.bits(touched, used + 1)
+            bits = table.reshape(-1)
+            for chunk in chunks:
+                np.take(bits, index(chunk), out=out[chunk])
         return out
 
     def _check_handle(self, handle: SampleHandle) -> None:

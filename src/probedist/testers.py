@@ -870,8 +870,6 @@ def graph_copies_tester(
         "tester": "graph-copies",
         "params": {"eps": eps, "vertices": v},
         "sizes": {"samples": t, "pairs_checked": checked},
-        "budget": _budget(
-            "bound", t * iso.query_budget(n, eps), "t * pair_tester_budget"
-        ),
+        "budget": _budget("bound", t * n, "t * n"),
     }
     return finish_report(oracle, accept, trace)

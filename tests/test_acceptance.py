@@ -8,7 +8,9 @@ alone.
 """
 
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -47,15 +49,23 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'}{tail}")
 
 
-def _mc(label: str, make_oracle, call, trials: int, seed_base: int) -> int:
-    """Run `trials` independent tester trials; returns the accept count."""
-    accepts = 0
-    for t in range(trials):
+def _mc(label: str, make_oracle, call, trials: int, seed_base: int,
+        workers: int = os.cpu_count() or 1) -> int:
+    """Run `trials` independent tester trials; returns the accept count.
+
+    Trials run on a pool of `workers` threads.  Each keeps its own seeds and
+    oracle, and the reports reach REGISTRY in trial order, so the count and
+    the registry do not depend on the pool.
+    """
+
+    def trial(t: int):
         oracle = make_oracle(seed_base + t)
-        rep = call(oracle, seed_base + 1_000_003 * (t + 1))
-        REGISTRY.append((label, oracle.n, rep))
-        accepts += rep.accepted
-    return accepts
+        return oracle.n, call(oracle, seed_base + 1_000_003 * (t + 1))
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        runs = list(pool.map(trial, range(trials)))
+    REGISTRY.extend((label, n, rep) for n, rep in runs)
+    return sum(rep.accepted for _, rep in runs)
 
 
 def _rand_dist(rng: np.random.Generator, n: int, max_support: int) -> FiniteDistribution:
@@ -478,3 +488,25 @@ def test_criterion_10_collision_statistic_mean():
     _verdict(10, "collision-statistic-mean", ok,
              f"worst deviation {worst_sigma:.2f} standard errors, {elapsed:.1f}s")
     assert ok
+
+
+def test_mc_results_do_not_depend_on_the_worker_count():
+    """One thread and a pool of two give the same accept count and the same
+    reports in the same REGISTRY order."""
+    rotations = shift_dist("".join("01"[b] for b in new_rng(78).integers(0, 2, size=32)))
+    before = len(REGISTRY)
+    results = []
+    for workers in (1, 2):
+        accepts = _mc(
+            "rotation-family",
+            lambda s: BilledOracle([rotations], seed=s),
+            lambda o, s: cyclic_shift_tester(o, eps=0.25, seed=s),
+            trials=24,
+            seed_base=900_000,
+            workers=workers,
+        )
+        runs = [(label, n, rep.to_dict()) for label, n, rep in REGISTRY[before:]]
+        del REGISTRY[before:]
+        results.append((accepts, runs))
+    assert results[0] == results[1]
+    assert len(results[0][1]) == 24

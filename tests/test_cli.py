@@ -1,6 +1,10 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +219,26 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "could not place 40 strings at pairwise distance 0.6" in err
+
+    def test_reader_that_closes_early_gives_exit_1_and_no_traceback(self, tmp_path):
+        # A report of 2,000 trials is several times a pipe's buffer, so the
+        # writer is still writing when the reader closes its end.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(_spec_dict(trials=2000)))
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        main = "import sys; from probedist.cli import main; sys.exit(main())"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", main, "run", str(spec_path), "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(10) == b'{\n  "spec"'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCalibrateCommand:

@@ -466,6 +466,77 @@ def test_dense_calls_bill_and_read_across_index_chunks(monkeypatch, chunk):
         assert np.array_equal(vals, np.take_along_axis(strings[idx], per_row - 1, axis=1))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dense_calls_mixing_fully_billed_partly_billed_and_fresh_rows(data):
+    """One dense call over samples in every billing state bills and reads
+    them exactly.
+
+    Before the call, some samples have all n positions billed, so every
+    position has a ledger column and their pairs can bill nothing new; some
+    have a few; the rest have none.  The call names samples of all three
+    kinds, repeated and out of order, at positions shared (1-d) or per row
+    (2-d), on an explicit or a sampler-backed source, with row chunks of one
+    row up to the whole call.  It must take the dense branch, bill exactly
+    the distinct new pairs, and read back every sample's own bits.
+    """
+    n = data.draw(st.integers(2, 12))
+    count = data.draw(st.integers(3, 9))
+    seed = data.draw(st.integers(0, 2**32))
+    rng = new_rng(data.draw(st.integers(0, 2**32)))
+    if data.draw(st.booleans()):
+        p = FiniteDistribution.uniform_over(
+            np.unique(rng.integers(0, 2, size=(5, n), dtype=np.uint8), axis=0)
+        )
+        strings = p.rows[p.draw_atoms(new_rng(seed), count)]
+    else:
+        def sampler(g, c):
+            return g.integers(0, 2, size=(c, n), dtype=np.uint8)
+
+        p = ImplicitDistribution(n, sampler)
+        strings = sampler(new_rng(seed), count)
+    o = BilledOracle([p], seed=seed)
+    batch = o.draw(count)
+    # 0: fully billed, 1: partly billed, 2: fresh
+    extra = data.draw(st.lists(st.integers(0, 2), min_size=count - 3, max_size=count - 3))
+    kinds = np.array(data.draw(st.permutations([0, 1, 2] + extra)))
+    seen = set()
+    for i in np.flatnonzero(kinds < 2):
+        if kinds[i] == 0:
+            pos = np.arange(1, n + 1)
+        else:
+            pos = random_subset(rng, n, int(rng.integers(1, n)))
+        o.query_block([batch[i]], pos)
+        seen.update((int(i), int(q)) for q in pos)
+    assert o.queries_used == len(seen)
+
+    first = [int(np.flatnonzero(kinds == kind)[0]) for kind in (0, 1, 2)]
+    more = data.draw(st.lists(st.integers(0, count - 1), max_size=3 * count))
+    idx = np.array(data.draw(st.permutations(first + more)))
+    k, touched = idx.size, np.unique(idx).size
+    width = data.draw(st.integers(-(-touched * n // k), 2 * n))
+    if data.draw(st.booleans()):
+        pos = rng.integers(1, n + 1, size=width)
+        per_row = np.broadcast_to(pos, (k, width))
+    else:
+        pos = per_row = rng.integers(1, n + 1, size=(k, width))
+    dense_calls = []
+    dense = BilledOracle._query_dense
+
+    def counted(self, *args):
+        dense_calls.append(1)
+        return dense(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BilledOracle, "_query_dense", counted)
+        mp.setattr(core, "_DENSE_CHUNK_PAIRS", data.draw(st.sampled_from([1, 2 * width, 1 << 16])))
+        vals = o.query_block([batch[i] for i in idx], pos)
+    assert len(dense_calls) == 1
+    seen.update((int(i), int(q)) for i, row in zip(idx, per_row) for q in row)
+    assert o.queries_used == len(seen)
+    assert np.array_equal(vals, np.take_along_axis(strings[idx], per_row - 1, axis=1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_billing_and_bits_across_draws_and_sources(data):

@@ -330,6 +330,14 @@ class TestGraphCopiesTester:
         assert rep.queries_used <= rep.trace["sizes"]["samples"] * 25
         assert rep.queries_used <= rep.trace["budget"]["value"]
 
+    def test_budget_is_one_full_read_per_sample(self):
+        # Each of the t samples, the reference included, is read once.
+        p = iso_copies_dist(_adjacency(4, [(0, 1), (1, 2), (2, 3)]))
+        rep = graph_copies_tester(BilledOracle([p], seed=0), eps=0.5, seed=0)
+        t = rep.trace["sizes"]["samples"]
+        assert rep.trace["budget"] == {"kind": "bound", "value": t * 16, "form": "t * n"}
+        assert rep.queries_used <= t * 16
+
     def test_needs_square_length(self):
         p = FiniteDistribution.point("0" * 12)
         with pytest.raises(ValueError):
