@@ -22,11 +22,14 @@ grow with the queries billed, not with samples x n.  Each ledger also keeps a
 frontier, one past the highest sample it ever billed: a read of samples all
 at or past it, such as a read straight after their draw, bills every pair it
 names, so it writes their cells without reading them first.  Rows that count
-up by one, as a draw's do, with ledger columns that do too, as sorted
-positions new to the ledger do, are addressed as one slice of the ledger;
-other reads index it with one flat index per pair.  A dense read, whose
-touched samples hold no more cells than it names pairs, bills through a
-bitmap over those samples instead, in one of two orders.  On an explicit or
+up by one, as a draw's do, with one shared set of ledger columns are
+addressed as a slice of the ledger's rows: a plain slice of the ledger when
+those columns count up by one too, as sorted positions new to the ledger
+do, and the row slice with a column index otherwise, as when a read mixes
+positions the ledger has seen with new ones.  Other reads index the ledger
+with one flat index per pair.  A dense read, whose touched samples hold no
+more cells than it names pairs, bills through a bitmap over those samples
+instead, in one of two orders.  On an explicit or
 sampler-backed source, whose billing draws nothing, it reads the touched
 samples' bits first, then marks and reads each pair through the same index,
 and it marks no pair of a sample whose ledger row is already all billed.
@@ -88,18 +91,35 @@ def random_subset(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
 
     Uses Floyd's algorithm, which draws exactly ``size`` integers however
     large n is.  Returns the positions sorted ascending (int64).
+
+    Step i of Floyd's loop (j = n - size + 1 + i) draws t from [1, j] and
+    adds j in its place only when t is already chosen.  An earlier draw is
+    always chosen after its step, as itself or because it already was, so
+    a draw that repeats one is replaced.  Any other chosen value a draw can
+    meet is an earlier step's j, and those are all at least n - size + 1.
+    Every other draw is therefore added as it is, all at once, and the loop
+    replays only the steps whose draw repeats an earlier one or reaches
+    n - size + 1, in step order, which gives exactly Floyd's subset.
     """
     if not 0 <= size <= n:
         raise ValueError(f"subset size {size} outside [0, {n}]")
     if size == n:
         return np.arange(1, n + 1, dtype=np.int64)
+    low = n - size + 1
     # One call with an array of upper bounds consumes the stream exactly as
     # one ``rng.integers(1, j + 1)`` call per step j of the loop would.
-    draws = rng.integers(1, np.arange(n - size + 2, n + 2))
-    chosen: set[int] = set()
-    for j, t in zip(range(n - size + 1, n + 1), draws.tolist()):
-        chosen.add(j if t in chosen else t)
-    return np.array(sorted(chosen), dtype=np.int64)
+    draws = rng.integers(1, np.arange(low + 1, n + 2))
+    order = np.argsort(draws, kind="stable")
+    ranked = draws[order]
+    repeat = np.zeros(size, dtype=bool)
+    repeat[order[1:][ranked[1:] == ranked[:-1]]] = True
+    replaced: set[int] = set()
+    for i in np.flatnonzero(repeat | (draws >= low)).tolist():
+        if repeat[i] or int(draws[i]) in replaced:
+            draws[i] = low + i
+            replaced.add(low + i)
+    draws.sort()
+    return draws
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -381,6 +401,12 @@ def _run(idx: np.ndarray) -> slice | None:
     return slice(first, last + 1)
 
 
+def _increasing(idx: np.ndarray) -> bool:
+    """True iff 1-d ``idx`` is strictly increasing, as a draw's rows and
+    ``random_subset``'s positions are."""
+    return idx.size < 2 or bool((idx[1:] > idx[:-1]).all())
+
+
 def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
     """The distinct values of 1-d ``keys`` in ascending order, as
     ``np.unique`` gives them, by a sort and an adjacent-difference mask."""
@@ -392,8 +418,9 @@ def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
 
 
 def _distinct_per_row(cols: np.ndarray) -> bool:
-    """True iff no row of ``cols`` (1-d, or 2-d row by row) repeats a value."""
-    if cols.shape[-1] < 2:
+    """True iff no row of ``cols`` (1-d, or 2-d row by row) repeats a value;
+    1-d ``cols`` that are strictly increasing need no sort to say so."""
+    if cols.shape[-1] < 2 or (cols.ndim == 1 and _increasing(cols)):
         return True
     srt = np.sort(cols, axis=-1)
     return bool(np.all(srt[..., 1:] != srt[..., :-1]))
@@ -414,9 +441,11 @@ class _SourceStore:
 
     ``frontier`` is one past the highest sample row ever billed, so no pair
     on a row at or past it has been billed.  Ledger cells are addressed
-    through one rule: rows that count up by one, as a draw's do, with 1-d
-    columns that do too, as sorted new positions do, are a slice of the
-    ledger; any other call indexes it flat, one index per pair.
+    through one rule (:meth:`_cells`): rows that count up by one, as a
+    draw's do, with 1-d columns are a row slice, with a column slice when
+    the columns count up by one too, as sorted new positions do, and with
+    the column index otherwise; any other call indexes the ledger flat, one
+    index per pair.
     """
 
     __slots__ = (
@@ -483,14 +512,18 @@ class _SourceStore:
     def _cells(self, rows: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, object]:
         """An array and a key into it such that ``array[key]`` is the
         (len(rows), width) block of ledger cells of samples ``rows`` at
-        ledger columns ``col`` (1-d shared, or 2-d one row per sample)."""
+        ledger columns ``col`` (1-d shared, or 2-d one row per sample).
+
+        Rows that count up by one with 1-d columns are a row slice: a view
+        when the columns count up by one too, else the slice and the column
+        index, so no index array spans every pair.  Any other call gets one
+        flat index per pair: numpy takes and puts through a 1-d index faster
+        than through two broadcast ones.
+        """
         run = _run(rows)
-        cols = _run(col) if run is not None else None
-        if cols is not None:
-            # A view: written and read with no index array at all.
-            return self.ledger, (run, cols)
-        # One flat index per pair: numpy takes and puts through a 1-d index
-        # faster than through two broadcast ones.
+        if run is not None and col.ndim == 1:
+            cols = _run(col)
+            return self.ledger, (run, col if cols is None else cols)
         return self.ledger.reshape(-1), rows[:, None] * self.ledger.shape[1] + col
 
     def bits(self, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -521,8 +554,10 @@ class _SourceStore:
         with a row per sample) name distinct (sample, position) pairs;
         ``mask``, of their (len(rows), width) shape, keeps only some of them.
         Positions are mapped to ledger columns here, once per entry of
-        ``pos``.  On a product source each new pair's bit is drawn here, one
-        uniform per pair of the call in pair order.
+        ``pos``; positions new to the ledger get new columns in sorted order,
+        with no sort when they already come strictly increasing, as
+        ``random_subset``'s do.  On a product source each new pair's bit is
+        drawn here, one uniform per pair of the call in pair order.
 
         A call without a mask whose rows all lie at or past ``frontier``
         bills every pair, so it writes the cells without reading them.
@@ -531,7 +566,9 @@ class _SourceStore:
             return 0
         col = self.column[pos]
         if np.count_nonzero(col) < col.size:
-            unmapped = np.unique(pos[col == 0])
+            unmapped = pos[col == 0]
+            if not _increasing(unmapped):
+                unmapped = _distinct_sorted(unmapped)
             self.column[unmapped] = np.arange(self.width + 1, self.width + 1 + unmapped.size)
             self.width += unmapped.size
             self._fit_ledger()
@@ -649,8 +686,8 @@ class BilledOracle:
         rows = batch.rows
         # A batch straight from ``draw`` is strictly increasing, and so its
         # own set of touched samples.
-        increasing = rows.size < 2 or bool((rows[1:] > rows[:-1]).all())
-        touched = rows if increasing else np.unique(rows)
+        increasing = _increasing(rows)
+        touched = rows if increasing else _distinct_sorted(rows)
         if touched.size * self._n <= rows.size * pos.shape[-1]:
             return self._query_dense(store, rows, touched, increasing, pos)
         if touched.size == rows.size and _distinct_per_row(pos):

@@ -30,11 +30,21 @@ __all__ = [
 
 
 def _counts(values) -> np.ndarray:
-    """Multiplicity vector of a value list, label-free."""
+    """Multiplicity vector of a value list, label-free.
+
+    Only the multiset of counts is the contract: which value a count belongs
+    to, and the order of the counts, are not, since every decision rule here
+    reads multiplicities alone.  Integer keys (``pack_rows`` rows of at most
+    64 positions) are counted by ``np.unique``.  Wide keys, the void keys of
+    longer rows, are counted by hashing their packed bytes, as ``bytes``
+    objects, where ``np.unique`` would sort them with a generic compare.
+    """
     if isinstance(values, np.ndarray):
-        _, counts = np.unique(values, return_counts=True)
-        return counts
-    return np.array(sorted(Counter(values).values()), dtype=np.int64)
+        if values.dtype.kind != "V":
+            return np.unique(values, return_counts=True)[1]
+        values = values.tolist()
+    counts = Counter(values)
+    return np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
 
 
 def std_support_tester(values, m: int) -> bool:

@@ -30,7 +30,7 @@ from .core import (
     pack_rows,
     random_subset,
 )
-from .std_testers import GrainedInner, SupportInner, std_equality_tester
+from .std_testers import GrainedInner, SupportInner, _counts, std_equality_tester
 from .strings import ExactIsomorphismTester
 
 __all__ = [
@@ -137,7 +137,7 @@ def support_tester(
     batch = oracle.draw(s)
     positions = random_subset(rng, n, ell)
     values = pack_rows(oracle.query_block(batch, positions))
-    distinct = int(np.unique(values).size)
+    distinct = int(_counts(values).size)
     trace = {
         "tester": "support",
         "params": {"m": m, "eps": eps},
@@ -199,8 +199,7 @@ def uniformity_tester(
         return replace(rep, trace={**rep.trace, **trace})
     s = math.ceil(constants.uniform_full_read * m * _ln1p(m) / eps**2)
     batch = oracle.draw(s)
-    values = pack_rows(oracle.query_block(batch, np.arange(1, n + 1)))
-    _, counts = np.unique(values, return_counts=True)
+    counts = _counts(pack_rows(oracle.query_block(batch, np.arange(1, n + 1))))
     freqs = np.sort(counts / s)[::-1]
     top = freqs[:m]
     rest = freqs[m:]

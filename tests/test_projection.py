@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from probedist.constants import DEFAULT_CONSTANTS
-from probedist.core import BilledOracle, FiniteDistribution, new_rng
+from probedist.core import BilledOracle, FiniteDistribution, new_rng, pack_rows, random_subset
 from probedist.distances import emd, tv
 from probedist.generators import inside_outside_mixture, uniform_random_subset
 from probedist.std_testers import GrainedInner, SupportInner
@@ -29,6 +29,22 @@ def test_support_tester_one_sided():
             oracle = BilledOracle([p], seed=s)
             rep = support_tester(oracle, m=m, eps=0.3, seed=1000 + s)
             assert rep.accepted
+
+
+def test_support_tester_counts_wide_restrictions_like_unique():
+    """At 129 positions the restrictions are void keys; the distinct count
+    in the trace is np.unique's over the bits the tester read, which a
+    twin oracle on the same seeds reads again."""
+    n, m, eps = 512, 4, 0.1
+    p = uniform_random_subset(12, n=n, m=8, min_distance=0.2)
+    for seed in range(6):
+        rep = support_tester(BilledOracle([p], seed=seed), m=m, eps=eps, seed=100 + seed)
+        sizes = rep.trace["sizes"]
+        assert sizes["positions"] == 129
+        positions = random_subset(new_rng(100 + seed), n, sizes["positions"])
+        twin = BilledOracle([p], seed=seed)
+        bits = twin.query_block(twin.draw(sizes["samples"]), positions)
+        assert rep.trace["distinct_restrictions"] == np.unique(pack_rows(bits)).size
 
 
 def test_support_tester_rejects_excess_far_support():

@@ -13,6 +13,7 @@ from probedist.core import new_rng, pack_rows
 from probedist.std_testers import (
     GrainedInner,
     SupportInner,
+    _counts,
     _paired_counts,
     collision_statistic,
     equality_threshold,
@@ -199,6 +200,27 @@ def test_paired_counts_match_one_unique_over_both_sides(data):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     assert collision_statistic(*got) == collision_statistic(*want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_counts_of_wide_keys_match_unique(data):
+    """Counting void keys, rows of 65 to 300 columns, by hashing their
+    packed bytes gives np.unique's multiplicities, in any order.  Every row
+    of the pool has a twin that differs only in its last bit, and some rows
+    end in zero columns, so their packed bytes end in zero bytes."""
+    width = data.draw(st.integers(65, 300))
+    rng = new_rng(data.draw(st.integers(0, 2**32)))
+    pool = rng.integers(0, 2, size=(data.draw(st.integers(1, 8)), width), dtype=np.uint8)
+    zero_tail = data.draw(st.integers(1, width))
+    pool[rng.random(len(pool)) < 0.5, zero_tail:] = 0
+    twins = pool.copy()
+    twins[:, -1] ^= 1
+    pool = np.concatenate([pool, twins])
+    keys = pack_rows(pool[rng.integers(0, len(pool), size=data.draw(st.integers(0, 300)))])
+    counts = _counts(keys)
+    assert counts.dtype == np.int64
+    assert sorted(counts.tolist()) == sorted(np.unique(keys, return_counts=True)[1].tolist())
 
 
 def test_label_invariance():
