@@ -22,14 +22,11 @@ grow with the queries billed, not with samples x n.  Each ledger also keeps a
 frontier, one past the highest sample it ever billed: a read of samples all
 at or past it, such as a read straight after their draw, bills every pair it
 names, so it writes their cells without reading them first.  Rows that count
-up by one, as a draw's do, with one shared set of ledger columns are
-addressed as a slice of the ledger's rows: a plain slice of the ledger when
-those columns count up by one too, as sorted positions new to the ledger
-do, and the row slice with a column index otherwise, as when a read mixes
-positions the ledger has seen with new ones.  Other reads index the ledger
-with one flat index per pair.  A dense read, whose touched samples hold no
-more cells than it names pairs, bills through a bitmap over those samples
-instead, in one of two orders.  On an explicit or
+up by one, as a draw's do, with ledger columns that do too, as sorted
+positions new to the ledger do, are addressed as one slice of the ledger;
+other reads index it with one flat index per pair.  A dense read, whose
+touched samples hold no more cells than it names pairs, bills through a
+bitmap over those samples instead, in one of two orders.  On an explicit or
 sampler-backed source, whose billing draws nothing, it reads the touched
 samples' bits first, then marks and reads each pair through the same index,
 and it marks no pair of a sample whose ledger row is already all billed.
@@ -160,9 +157,15 @@ def _merge_rows(rows, weights=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exact_unit_weights(weights) -> np.ndarray:
-    """A copy of ``weights`` with the float residue of their sum on the last."""
+    """A copy of ``weights`` with the float residue of their sum on the last,
+    or on the largest when the last would drop to zero or below, as a last
+    weight of an ulp or so of one can: an atom must keep a positive weight."""
     weights = np.array(weights, dtype=np.float64)
-    weights[-1] += 1.0 - weights.sum()
+    residue = 1.0 - weights.sum()
+    if weights[-1] + residue > 0.0:
+        weights[-1] += residue
+    else:
+        weights[np.argmax(weights)] += residue
     return weights
 
 
@@ -250,7 +253,8 @@ class FiniteDistribution:
     @classmethod
     def merged(cls, rows, weights) -> "FiniteDistribution":
         """Weighted rows as atoms, in lexicographic order: equal rows merge and
-        add their weights, and the float residue of the total goes on the last."""
+        add their weights, and the float residue of the total goes on the last
+        (on the largest if it would leave the last no positive weight)."""
         uniq, sums = _merge_rows(rows, weights)
         return cls(rows=uniq, weights=_exact_unit_weights(sums))
 
@@ -441,11 +445,9 @@ class _SourceStore:
 
     ``frontier`` is one past the highest sample row ever billed, so no pair
     on a row at or past it has been billed.  Ledger cells are addressed
-    through one rule (:meth:`_cells`): rows that count up by one, as a
-    draw's do, with 1-d columns are a row slice, with a column slice when
-    the columns count up by one too, as sorted new positions do, and with
-    the column index otherwise; any other call indexes the ledger flat, one
-    index per pair.
+    through one rule: rows that count up by one, as a draw's do, with 1-d
+    columns that do too, as sorted new positions do, are a slice of the
+    ledger; any other call indexes it flat, one index per pair.
     """
 
     __slots__ = (
@@ -512,18 +514,14 @@ class _SourceStore:
     def _cells(self, rows: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, object]:
         """An array and a key into it such that ``array[key]`` is the
         (len(rows), width) block of ledger cells of samples ``rows`` at
-        ledger columns ``col`` (1-d shared, or 2-d one row per sample).
-
-        Rows that count up by one with 1-d columns are a row slice: a view
-        when the columns count up by one too, else the slice and the column
-        index, so no index array spans every pair.  Any other call gets one
-        flat index per pair: numpy takes and puts through a 1-d index faster
-        than through two broadcast ones.
-        """
+        ledger columns ``col`` (1-d shared, or 2-d one row per sample)."""
         run = _run(rows)
-        if run is not None and col.ndim == 1:
-            cols = _run(col)
-            return self.ledger, (run, col if cols is None else cols)
+        cols = _run(col) if run is not None else None
+        if cols is not None:
+            # A view: written and read with no index array at all.
+            return self.ledger, (run, cols)
+        # One flat index per pair: numpy takes and puts through a 1-d index
+        # faster than through two broadcast ones.
         return self.ledger.reshape(-1), rows[:, None] * self.ledger.shape[1] + col
 
     def bits(self, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:

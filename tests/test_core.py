@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from probedist import core
 from probedist.core import (
@@ -13,6 +13,7 @@ from probedist.core import (
     SampleBatch,
     TesterReport,
     _as_bit_array,
+    _exact_unit_weights,
     _merge_rows,
     finish_report,
     new_rng,
@@ -180,6 +181,31 @@ def test_merged_matches_unique_and_add_at_bit_for_bit(data):
     assert p.weights.tobytes() == sums.tobytes()
 
 
+def test_residue_never_leaves_an_atom_without_positive_weight():
+    """A skewed last weight of about 1.6e-16 whose sum falls short by an ulp
+    of one: the residue on the last atom would make it -6.2e-17, so it goes
+    on the largest.  A last weight that stays positive takes the residue
+    itself, bit for bit as before."""
+    rng = new_rng(6635)
+    rng.random(100)
+    raw = rng.random(100) ** 12 + 1e-15
+    weights = raw / raw.sum()
+    assert weights[-1] + (1.0 - weights.sum()) <= 0.0
+    fixed = _exact_unit_weights(weights)
+    big = int(np.argmax(weights))
+    assert fixed[-1] == weights[-1] and fixed[big] == weights[big] + (1.0 - weights.sum())
+    assert np.all(fixed > 0.0) and abs(fixed.sum() - 1.0) <= core.WEIGHT_TOL
+    # Big-endian rows of 0..99 are in lexicographic order, so merged keeps
+    # them, and their weights, in place.
+    rows = (np.arange(100)[:, None] >> np.arange(6, -1, -1) & 1).astype(np.uint8)
+    assert FiniteDistribution.merged(rows, weights).weights.tobytes() == fixed.tobytes()
+    plain = new_rng(1).random(50) + 1e-3
+    plain /= plain.sum()
+    want = plain.copy()
+    want[-1] += 1.0 - want.sum()
+    assert _exact_unit_weights(plain).tobytes() == want.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_draw_atoms_matches_rng_choice_bit_for_bit(data):
@@ -188,7 +214,8 @@ def test_draw_atoms_matches_rng_choice_bit_for_bit(data):
 
     Weights are even, random, skewed (a high power of uniforms), one tiny
     atom beside large ones, or integer counts over their total, each with
-    the float residue of its sum put on the last atom.
+    the float residue of its sum placed as ``FiniteDistribution.merged``
+    places it.
     """
     k = data.draw(st.integers(1, 100))
     count = data.draw(st.integers(1, 5000))
@@ -201,11 +228,7 @@ def test_draw_atoms_matches_rng_choice_bit_for_bit(data):
         "tiny": np.concatenate([[1e-9], rng.random(k - 1) + 1.0])[:k],
         "counts": rng.integers(1, 7, size=k).astype(np.float64),
     }[shape]
-    weights = raw / raw.sum()
-    weights[-1] += 1.0 - weights.sum()
-    # A skewed last weight near 1e-16 can go negative with the residue, and
-    # a distribution with such a weight is rejected before any draw.
-    assume(weights[-1] > 0.0)
+    weights = _exact_unit_weights(raw / raw.sum())
     rows = (np.arange(k)[:, None] >> np.arange(7) & 1).astype(np.uint8)
     p = FiniteDistribution(rows=rows, weights=weights)
     seed = data.draw(st.integers(0, 2**32))
