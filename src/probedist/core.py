@@ -711,7 +711,8 @@ class BilledOracle:
         positions first, so one pass over the chunks builds each index once
         and uses it for both.  When every position has a ledger column, a
         touched sample whose ledger row is all billed can bill nothing new,
-        so its pairs are left out of the bitmap.  A product store draws
+        so its pairs are left out of the bitmap, and a call whose bitmap
+        stays empty does not call the store's billing.  A product store draws
         each bit when it bills it, one uniform per (touched sample, position
         in the call), so it scatters every pair, bills, and then reads the
         table in a second pass.
@@ -749,7 +750,8 @@ class BilledOracle:
             # int32 one, even counting the cast.
             cells[idx.astype(np.intp, copy=False)] = True
         used = np.flatnonzero(hit.any(axis=0))
-        self._queries += store.bill(touched, used + 1, hit[:, used])
+        if used.size:
+            self._queries += store.bill(touched, used + 1, hit[:, used])
         if store.product is not None:
             table = np.zeros(hit.shape, dtype=np.uint8)
             table[:, used] = store.bits(touched, used + 1)

@@ -57,6 +57,22 @@ def _position_dtype(n: int) -> type:
     return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
+def _uniform_shifts(rng: np.random.Generator, n: int, shape) -> np.ndarray:
+    """Uniform integers on [0, n) for n = 2^k, from raw generator bytes.
+
+    Each value is the top k bits of the narrowest of 1, 2, 4 or 8 bytes of
+    ``rng.bytes`` that holds k bits, read little-endian, so the result is
+    exactly uniform and has that unsigned dtype.  Raises ValueError before
+    it draws when n is not a power of two.
+    """
+    if n < 1 or n & (n - 1):
+        raise ValueError("uniform shifts need n = 2^k")
+    k = n.bit_length() - 1
+    size = next(b for b in (1, 2, 4, 8) if k <= 8 * b)
+    raw = np.frombuffer(rng.bytes(size * math.prod(shape)), dtype=f"<u{size}")
+    return (raw >> (8 * size - k)).reshape(shape)
+
+
 @runtime_checkable
 class StringTester(Protocol):
     """Decides membership of strings in a fixed property."""
@@ -175,6 +191,12 @@ class HadamardCorrector:
     when they agree, None otherwise.  On an exactly linear table both
     estimates equal the true bit; at relative distance d from linear each
     estimate is wrong with probability at most 2d.
+
+    Each shift r is the top k bits of 1, 2, 4 or 8 raw bytes of the generator
+    (``_uniform_shifts``), which is exactly uniform on [0, n) for n = 2^k;
+    any other n raises ValueError before anything is drawn.  The votes of
+    a batch are tallied in a (samples, repeats, positions) buffer, so each
+    count adds whole rows of positions.
     """
 
     queries_per_call: ClassVar[int] = 4
@@ -214,7 +236,7 @@ class HadamardCorrector:
             return np.concatenate(done)
         # Each estimate reads the pair (a ^ r, r), in that order.
         pos = np.empty((k, L, repeats, 2, 2), dtype=dtype)
-        r = rng.integers(0, n, size=(k, L, repeats, 2), dtype=dtype)
+        r = _uniform_shifts(rng, n, (k, L, repeats, 2))
         np.bitwise_xor(a[:, :, None, None], r, out=pos[..., 0])
         pos[..., 1] = r
         del r  # not held through the read
@@ -222,10 +244,12 @@ class HadamardCorrector:
         bits = reader.query_block(batch, pos.reshape(k, -1)).reshape(pos.shape)
         est = bits[..., 0] ^ bits[..., 1]
         # Per call: 2 when both estimates say 1, 0 when both say 0, 1 when
-        # they disagree, which counts for neither value.
-        votes = est[..., 0] + est[..., 1]
-        ones = np.count_nonzero(votes == 2, axis=2)
-        zeros = np.count_nonzero(votes == 0, axis=2)
+        # they disagree, which counts for neither value.  Repeats run
+        # outermost, so each count adds whole rows of L calls.
+        votes = np.empty((k, repeats, L), dtype=np.uint8)
+        np.add(est[..., 0], est[..., 1], out=votes.transpose(0, 2, 1))
+        ones = np.count_nonzero(votes == 2, axis=1)
+        zeros = np.count_nonzero(votes == 0, axis=1)
         return np.where(
             2 * ones > repeats, 1, np.where(2 * zeros > repeats, 0, -1)
         ).astype(np.int8)

@@ -587,6 +587,49 @@ def test_dense_calls_mixing_fully_billed_partly_billed_and_fresh_rows(data):
     assert np.array_equal(vals, np.take_along_axis(strings[idx], per_row - 1, axis=1))
 
 
+@pytest.mark.parametrize("implicit", [False, True])
+@pytest.mark.parametrize("shared", [False, True])
+def test_dense_read_of_fully_billed_rows_calls_no_billing(monkeypatch, implicit, shared):
+    """Once every sample a dense call names has all n positions billed, the
+    call can bill nothing new.  It must read back the same bits, leave the
+    bill and the billing frontier as they were, and never reach
+    ``_SourceStore.bill``."""
+    n, count = 12, 6
+    rng = new_rng(5)
+    if implicit:
+        p = ImplicitDistribution(n, lambda g, c: g.integers(0, 2, size=(c, n), dtype=np.uint8))
+    else:
+        p = FiniteDistribution.uniform_over(
+            np.unique(rng.integers(0, 2, size=(4, n), dtype=np.uint8), axis=0)
+        )
+    o = BilledOracle([p], seed=3)
+    batch = o.draw(count)
+    full = o.query_block(batch, np.arange(1, n + 1))
+    store = o._stores[batch.source]
+    used, frontier = o.queries_used, store.frontier
+    calls = {"dense": 0, "bill": 0}
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(BilledOracle, "_query_dense", counted("dense", BilledOracle._query_dense))
+    monkeypatch.setattr(core._SourceStore, "bill", counted("bill", core._SourceStore.bill))
+    idx = rng.integers(0, count, size=3 * count)
+    if shared:
+        pos = rng.integers(1, n + 1, size=2 * n)
+        per_row = np.broadcast_to(pos, (idx.size, pos.size))
+    else:
+        pos = per_row = rng.integers(1, n + 1, size=(idx.size, 2 * n))
+    vals = o.query_block([batch[i] for i in idx], pos)
+    assert calls == {"dense": 1, "bill": 0}
+    assert o.queries_used == used and store.frontier == frontier
+    assert np.array_equal(vals, np.take_along_axis(full[idx], per_row - 1, axis=1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_billing_and_bits_across_draws_and_sources(data):

@@ -5,6 +5,12 @@ it keeps every property these testers decide.  Their decisions read only
 which restricted samples are equal, never what they are, so on the image of
 a source they must draw, bill and decide exactly as on the source itself,
 trial by trial: same verdict, bill, samples and trace.
+
+The Hadamard testers commute with the XOR of a codeword c, which keeps
+linear truth tables linear: a linearity check x(a) + x(b) + x(a xor b) is
+unchanged, and both estimates x(a xor r) + x(r) of a corrector call at a
+flip with c(a), so the corrected bits of every sample flip at the same
+positions.
 """
 
 import numpy as np
@@ -12,12 +18,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probedist.core import BilledOracle, FiniteDistribution, ImplicitDistribution
-from probedist.generators import coordinate_noise_dist, uniform_random_subset
+from probedist.generators import coordinate_noise_dist, hadamard_code, uniform_random_subset
 from probedist.std_testers import GrainedInner, SupportInner
+from probedist.strings import LinearityTester, hadamard_property
 from probedist.testers import (
     grained_tester,
+    membership_tester,
     pair_equality_tester,
     projection_tester,
+    self_correcting_tester,
     support_tester,
     uniformity_tester,
 )
@@ -96,11 +105,64 @@ def test_trials_are_unchanged_by_an_xor_of_the_cube(case, data):
         z = np.frombuffer(data.draw(st.binary(min_size=n, max_size=n)), np.uint8) & 1
     else:
         z = anchors[pick]
+    _assert_same_trials(case, sources, z, run, data)
+
+
+def _assert_same_trials(case, sources, z, run, data):
+    """Two seeded trials on ``sources`` and on their image under x -> x XOR z
+    give the same report."""
     moved = [xor_source(src, z) for src in sources]
     for seed in data.draw(st.lists(st.integers(0, 2**32), min_size=2, max_size=2)):
         want = run(BilledOracle(sources, seed=seed), seed + 1).to_dict()
         got = run(BilledOracle(moved, seed=seed), seed + 1).to_dict()
         assert got == want, (case, seed)
+
+
+def _codeword(k: int, coeff: int) -> np.ndarray:
+    """The truth table over GF(2)^k of the linear form x -> <coeff, x>."""
+    message = (coeff >> np.arange(k)) & 1
+    return (message @ hadamard_code(k).generator % 2).astype(np.uint8)
+
+
+def _flipped_linear(k: int, coeff: int, flips: list, weight: float) -> FiniteDistribution:
+    """The codeword of ``coeff``, and at ``weight`` a copy of it with the bits
+    at 0-based ``flips`` flipped."""
+    exact = _codeword(k, coeff)
+    noisy = exact.copy()
+    noisy[flips] ^= 1
+    return FiniteDistribution(rows=np.stack([exact, noisy]), weights=np.array([1 - weight, weight]))
+
+
+# name -> (k, the codeword coefficient of the source, source, tester run on
+# an oracle and a seed).  The flipped copy is rare enough that trials both
+# accept and reject, and that some self-correcting trials run the corrector
+# on every sample.
+HADAMARD_CASES = {
+    "self-correcting-hadamard": (
+        5, 19, _flipped_linear(5, 19, [3], 1 / 512),
+        lambda o, s: self_correcting_tester(o, hadamard_property(5), SupportInner(2), 0.5, s),
+    ),
+    "membership-linearity-plain": (
+        6, 45, _flipped_linear(6, 45, [0, 17, 40], 1 / 16),
+        lambda o, s: membership_tester(o, LinearityTester(), 0.5, s),
+    ),
+    "membership-linearity-staged": (
+        6, 45, _flipped_linear(6, 45, [0, 17, 40], 1 / 256),
+        lambda o, s: membership_tester(o, LinearityTester(), 0.5, s, mode="staged"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HADAMARD_CASES))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_hadamard_trials_are_unchanged_by_a_codeword_xor(case, data):
+    """c is a random codeword, or the source's own, so that the moved source
+    sits at 0^n and a corrector that reads labels, say one that drops the
+    x(r) term of its estimates, decides differently."""
+    k, coeff, source, run = HADAMARD_CASES[case]
+    pick = data.draw(st.one_of(st.just(coeff), st.integers(0, (1 << k) - 1)))
+    _assert_same_trials(case, [source], _codeword(k, pick), run, data)
 
 
 def test_xor_source_moves_every_sample():

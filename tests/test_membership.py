@@ -18,6 +18,7 @@ from probedist.strings import (
     ExactIsomorphismTester,
     HadamardCorrector,
     LinearityTester,
+    _uniform_shifts,
     hadamard_property,
 )
 from probedist.testers import graph_copies_tester, membership_tester, self_correcting_tester
@@ -86,13 +87,14 @@ def _stacked_linearity(reader, batch, eps, rng, repeats):
 
 def _stacked_correction(reader, batch, positions, rng, repeats):
     """``HadamardCorrector.correct_batch`` on one chunk, probes built by
-    np.stack and votes counted through an int8 call per repeat."""
+    np.stack from int64 shifts and votes counted through an int8 call per
+    repeat."""
     k = len(batch)
     a = np.asarray(positions, dtype=np.int64) - 1
     if a.ndim == 1:
         a = np.broadcast_to(a, (k, a.size))
     L = a.shape[1]
-    r = rng.integers(0, reader.n, size=(k, L, repeats, 2))
+    r = _uniform_shifts(rng, reader.n, (k, L, repeats, 2)).astype(np.int64)
     pos = np.stack([a[:, :, None, None] ^ r, r], axis=-1).reshape(k, L * repeats * 4)
     pos += 1
     bits = reader.query_block(batch, pos).reshape(k, L, repeats, 2, 2)
@@ -115,6 +117,85 @@ def test_int32_probe_draws_repeat_the_int64_stream(n):
         assert got.dtype == np.int32 and np.array_equal(got, want)
         assert narrow.integers(0, 2**40) == wide.integers(0, 2**40)
         assert narrow.random() == wide.random()
+
+
+class _RawBytes:
+    """A stand-in generator whose ``bytes`` hands out a fixed buffer."""
+
+    def __init__(self, raw: np.ndarray):
+        self.raw = raw.tobytes()
+
+    def bytes(self, length: int) -> bytes:
+        assert length == len(self.raw)
+        return self.raw
+
+
+@pytest.mark.parametrize("size, ks", [(1, range(0, 9)), (2, range(9, 17))])
+def test_uniform_shifts_map_every_raw_value_evenly(size, ks):
+    """Fed every 1- or 2-byte value once, the shifts of n = 2^k hit each of
+    their n outputs 2^(8 size - k) times, for every k that reads that width."""
+    bits = 8 * size
+    raw = np.arange(1 << bits, dtype=f"<u{size}")
+    for k in ks:
+        got = _uniform_shifts(_RawBytes(raw), 1 << k, (raw.size,))
+        assert got.dtype == raw.dtype
+        assert np.array_equal(np.bincount(got, minlength=1 << k), np.full(1 << k, 1 << (bits - k)))
+
+
+@pytest.mark.parametrize("size, ks", [(4, range(17, 33)), (8, range(33, 64))])
+def test_uniform_shifts_map_wide_raw_values_onto_aligned_blocks(size, ks):
+    """Too many 4- and 8-byte values to feed them all: each output o of
+    n = 2^k must take the whole block o 2^(8 size - k) .. (o + 1) 2^(8 size - k) - 1
+    of raw values, which the shift, monotone in the raw value, does when it
+    maps both ends of a block to o and the values just past them to o - 1
+    and o + 1."""
+    bits = 8 * size
+    dtype = np.dtype(f"<u{size}")
+    for k in ks:
+        span = 1 << (bits - k)
+        outs = [1, 2, 1 << (k - 1), (1 << k) - 2]
+        ends = [(o * span - 1, o * span, (o + 1) * span - 1, (o + 1) * span) for o in outs]
+        raw = np.array(ends, dtype=dtype)
+        got = _uniform_shifts(_RawBytes(raw), 1 << k, raw.shape)
+        want = np.array([(o - 1, o, o, o + 1) for o in outs], dtype=dtype)
+        assert np.array_equal(got, want), k
+        top = np.array([0, span - 1, (1 << bits) - span, (1 << bits) - 1], dtype=dtype)
+        got = _uniform_shifts(_RawBytes(top), 1 << k, top.shape)
+        assert got.tolist() == [0, 0, (1 << k) - 1, (1 << k) - 1], k
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 16, 17, 20])
+def test_uniform_shifts_take_the_top_bits_of_the_generator_bytes(k):
+    """The shifts are the top k bits of little-endian words of 1, 2 or 4
+    bytes of one ``rng.bytes`` call, and leave the generator where that
+    call does."""
+    size = 1 if k <= 8 else 2 if k <= 16 else 4
+    shape = (3, 5, 2)
+    got_rng, want_rng = new_rng(k), new_rng(k)
+    got = _uniform_shifts(got_rng, 1 << k, shape)
+    raw = np.frombuffer(want_rng.bytes(size * 30), dtype=f"<u{size}")
+    want = (raw >> (8 * size - k)).reshape(shape)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [0, 3, 12, 96, 1000])
+def test_uniform_shifts_need_a_power_of_two(n):
+    rng = new_rng(n)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n = 2"):
+        _uniform_shifts(rng, n, (4,))
+    assert rng.bit_generator.state == state
+
+
+def test_corrector_needs_a_power_of_two_before_it_draws():
+    oracle, batch = _sample_of(np.zeros(12, dtype=np.uint8))
+    rng = new_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n = 2"):
+        HadamardCorrector().correct_batch(oracle, batch, np.arange(1, 13), rng, 3)
+    assert rng.bit_generator.state == state
+    assert oracle.queries_used == 0
 
 
 @pytest.mark.parametrize("seed", range(8))
