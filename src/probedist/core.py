@@ -31,7 +31,13 @@ sampler-backed source, whose billing draws nothing, it reads the touched
 samples' bits first, then marks and reads each pair through the same index,
 and it marks no pair of a sample whose ledger row is already all billed.
 On a product source it marks every pair, bills, and only then reads, since
-billing draws the bits.
+billing draws the bits.  A tester that reads only which restrictions are
+equal asks ``query_block`` for keys: it bills the same and returns one
+:func:`pack_rows` key per sample.  When a read that is not dense names at
+least as many samples of an explicit source as it has atoms, at positions
+shared by every sample, the key of each atom is packed once from the atom
+table and gathered by the samples' atom indices, so no bit matrix of
+samples x positions is built.
 
 Randomness: everything runs on numpy's PCG64 generator, with seeds split via
 ``numpy.random.SeedSequence``.  A (seed, parameters) pair therefore fixes
@@ -545,6 +551,17 @@ class _SourceStore:
             return np.take(self.atoms[:, pos - 1], atoms, axis=0)
         return self.atoms[atoms[:, None], pos - 1]
 
+    def keys(self, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """``pack_rows(self.bits(rows, pos))``, the same dtype and bytes.
+
+        When the read of an explicit source would take whole rows of its
+        table projected on shared 1-d positions, each atom's key is packed
+        once and gathered by atom index, so no bit matrix is built.
+        """
+        if self.atoms is not None and pos.ndim == 1 and self.atoms.shape[0] <= rows.size:
+            return pack_rows(self.atoms[:, pos - 1])[self.samples[rows]]
+        return pack_rows(self.bits(rows, pos))
+
     def bill(self, rows: np.ndarray, pos: np.ndarray, mask=None) -> int:
         """Mark pairs billed and return how many of them were not yet.
 
@@ -649,13 +666,22 @@ class BilledOracle:
         """Reveal bit ``position`` (1-based) of the sample behind ``handle``."""
         return int(self.query_block([handle], [position])[0, 0])
 
-    def query_block(self, handles, positions) -> np.ndarray:
+    def query_block(self, handles, positions, keys: bool = False) -> np.ndarray:
         """Reveal bits of several handles at once.
 
         ``positions`` is 1-based: either one 1-d array shared by every handle
         or a 2-d array with one row of positions per handle.  Returns a
         (len(handles), width) uint8 matrix.  Billing stays per distinct
         (handle, position) pair, duplicates inside the call included.
+
+        With ``keys=True`` the call bills exactly the same, and returns one
+        key per handle instead: the array ``pack_rows`` gives for the bit
+        matrix, with the same dtype and bytes, which is all a label-invariant
+        tester reads of its restrictions.  A call that is not dense, on an
+        explicit source at shared 1-d positions, and that names at least as
+        many samples as the source has atoms, packs each atom's restriction
+        once and gathers the keys by atom index; every other call packs its
+        bits.
 
         A call whose touched samples hold no more cells than it has pairs
         is dense: :meth:`_query_dense` bills and reads it through
@@ -677,7 +703,8 @@ class BilledOracle:
         if not (pos.ndim == 1 or (pos.ndim == 2 and pos.shape[0] == k)):
             raise ValueError("positions must be 1-d or have one row per handle")
         if pos.size == 0:
-            return np.empty((k, 0), dtype=np.uint8)
+            empty = np.empty((k, 0), dtype=np.uint8)
+            return pack_rows(empty) if keys else empty
         if int(pos.min()) < 1 or int(pos.max()) > self._n:
             raise ValueError(f"positions outside [1, {self._n}]")
         store = self._stores[batch.source]
@@ -687,14 +714,15 @@ class BilledOracle:
         increasing = _increasing(rows)
         touched = rows if increasing else _distinct_sorted(rows)
         if touched.size * self._n <= rows.size * pos.shape[-1]:
-            return self._query_dense(store, rows, touched, increasing, pos)
+            bits = self._query_dense(store, rows, touched, increasing, pos)
+            return pack_rows(bits) if keys else bits
         if touched.size == rows.size and _distinct_per_row(pos):
             self._queries += store.bill(rows, pos)
         else:
             stride = self._n + 1
             flat = _distinct_sorted((rows[:, None] * stride + pos).ravel())
             self._queries += store.bill(flat // stride, (flat % stride)[:, None])
-        return store.bits(rows, pos)
+        return store.keys(rows, pos) if keys else store.bits(rows, pos)
 
     def _query_dense(self, store, rows, touched, increasing, pos) -> np.ndarray:
         """Bill and read a call through (touched, n) tables over its samples.

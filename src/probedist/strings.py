@@ -237,6 +237,10 @@ class HadamardCorrector:
         # Each estimate reads the pair (a ^ r, r), in that order.
         pos = np.empty((k, L, repeats, 2, 2), dtype=dtype)
         r = _uniform_shifts(rng, n, (k, L, repeats, 2))
+        if r.dtype == np.uint64:
+            # numpy does not XOR int64 with uint64.  Shifts lie below
+            # n <= 2^63, so their int64 view is exact.
+            r = r.view(np.int64)
         np.bitwise_xor(a[:, :, None, None], r, out=pos[..., 0])
         pos[..., 1] = r
         del r  # not held through the read

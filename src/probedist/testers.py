@@ -99,7 +99,7 @@ def projection_tester(
     for _ in range(3):
         batch = oracle.draw(s)
         positions = random_subset(rng, n, ell)
-        values = pack_rows(oracle.query_block(batch, positions))
+        values = oracle.query_block(batch, positions, keys=True)
         votes.append(bool(inner.decide(values, eps / 2.0)))
     accept = sum(votes) >= 2
     trace = {
@@ -461,8 +461,8 @@ def pair_equality_tester(
     if sa == 0 or sb == 0:
         raise RuntimeError("degenerate Poisson draw: zero samples on one side")
     positions = random_subset(rng, n, ell)
-    values_a = pack_rows(oracle.query_block(oracle.draw(sa, source=0), positions))
-    values_b = pack_rows(oracle.query_block(oracle.draw(sb, source=1), positions))
+    values_a = oracle.query_block(oracle.draw(sa, source=0), positions, keys=True)
+    values_b = oracle.query_block(oracle.draw(sb, source=1), positions, keys=True)
     accept = std_equality_tester(values_a, values_b, m, eps_inner, lam)
     trace = {
         "tester": "pair-equality",
@@ -798,7 +798,7 @@ def shift_law_tester(
 
     ref = oracle.draw(1)
     positions = random_subset(rng, n, ell)
-    values_x = pack_rows(oracle.query_block(oracle.draw(sa), positions))
+    values_x = oracle.query_block(oracle.draw(sa), positions, keys=True)
 
     # A virtual sample depends only on its rotation amount, so positions and
     # keys are built once per distinct amount drawn.

@@ -987,6 +987,88 @@ def test_fresh_product_reads_draw_one_uniform_per_pair_in_pair_order(data):
         assert o.queries_used == billed
 
 
+def _oracle_state(o: BilledOracle) -> tuple:
+    """Everything a read can change: the bill, each store's frontier, column
+    map and ledger in use, and the generator state."""
+    stores = tuple(
+        (s.frontier, s.column.tobytes(), s.ledger[: s.count, : s.width].tobytes())
+        for s in o._stores
+    )
+    return o.queries_used, stores, o._rng.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_keys_equal_packed_bits_and_bill_alike(data):
+    """``query_block(b, p, keys=True)`` is ``pack_rows(query_block(b, p))``.
+
+    Twin oracles with one seed make the same calls, one asking for keys and
+    one packing the bits it gets.  Sources are explicit, with fewer or more
+    atoms than a call names samples, sampler-backed or product; widths give
+    uint64 keys (1, 63, 64) and void ones (65, 200).  Calls read fresh
+    draws, repeated, reversed or earlier samples, at shared 1-d or per-row
+    positions, full reads at small n (dense calls) included, and a call may
+    be made again on its billed pairs.  Keys must match in dtype and bytes,
+    and the bill, frontiers, ledgers and generator state must stay equal.
+    """
+    width = data.draw(st.sampled_from([1, 63, 64, 65, 200]))
+    # Small n makes most calls dense; n past the width leaves them sparse.
+    n = data.draw(st.one_of(st.sampled_from([1, 5, 24]), st.integers(width + 1, width + 80)))
+    kind = data.draw(st.sampled_from(["few-atoms", "many-atoms", "sampler", "product"]))
+    rng = new_rng(data.draw(st.integers(0, 2**32)))
+    if kind == "product":
+        source = _product_source(n, rng)[0]
+    elif kind == "sampler":
+        source = ImplicitDistribution(
+            n, lambda g, c: g.integers(0, 2, size=(c, n), dtype=np.uint8)
+        )
+    else:
+        size = data.draw(st.integers(1, 4) if kind == "few-atoms" else st.integers(20, 40))
+        atoms = np.unique(rng.integers(0, 2, size=(size, n), dtype=np.uint8), axis=0)
+        weights = rng.random(len(atoms)) + 0.1
+        weights = _exact_unit_weights(weights / weights.sum())
+        source = FiniteDistribution(rows=atoms, weights=weights)
+    seed = data.draw(st.integers(0, 2**32))
+    twins = BilledOracle([source], seed=seed), BilledOracle([source], seed=seed)
+    batch = None
+    for _ in range(data.draw(st.integers(1, 5))):
+        shape = data.draw(st.sampled_from(["fresh", "repeats", "reversed", "again"]))
+        if batch is None:
+            shape = "fresh"
+        drawn = twins[0].samples_drawn[0]
+        if shape == "fresh":
+            count = data.draw(st.integers(1, 12))
+            batch, twin_batch = (o.draw(count) for o in twins)
+            assert np.array_equal(batch.rows, twin_batch.rows)
+            rows = batch.rows
+        elif shape == "repeats":
+            rows = np.array(data.draw(st.lists(st.integers(0, drawn - 1), min_size=1,
+                                               max_size=16)))
+        elif shape == "reversed":
+            rows = np.arange(drawn)[::-1]
+        if shape != "again":
+            form = data.draw(st.sampled_from(["subset", "any", "full", "per-row"]))
+            if form == "subset" and width <= n:
+                pos = random_subset(rng, n, width)
+            elif form == "full":
+                pos = np.arange(1, n + 1)
+            elif form == "per-row":
+                pos = rng.integers(1, n + 1, size=(len(rows), width))
+            else:
+                pos = rng.integers(1, n + 1, size=width)
+        got = twins[0].query_block(SampleBatch(batch.token, 0, rows), pos, keys=True)
+        want = pack_rows(twins[1].query_block(SampleBatch(twins[1]._token, 0, rows), pos))
+        assert got.dtype == want.dtype and got.shape == (len(rows),)
+        assert got.tobytes() == want.tobytes()
+        assert _oracle_state(twins[0]) == _oracle_state(twins[1])
+
+
+def test_keys_of_an_empty_position_list_raise_as_packing_does():
+    o = BilledOracle([FiniteDistribution.point("0101")], seed=0)
+    with pytest.raises(ValueError, match="at least one column"):
+        o.query_block(o.draw(2), np.array([], dtype=np.int64), keys=True)
+
+
 def test_fresh_explicit_read_peaks_under_four_bytes_per_pair():
     """A read straight after its draw bills through ledger slices.
 

@@ -6,6 +6,10 @@ which restricted samples are equal, never what they are, so on the image of
 a source they must draw, bill and decide exactly as on the source itself,
 trial by trial: same verdict, bill, samples and trace.
 
+Rotation and constancy are kept only by the XOR of a constant string, so
+the rotation testers and constant membership are checked under the
+complement x -> x XOR 1^n, which commutes with every rotation.
+
 The Hadamard testers commute with the XOR of a codeword c, which keeps
 linear truth tables linear: a linearity check x(a) + x(b) + x(a xor b) is
 unchanged, and both estimates x(a xor r) + x(r) of a corrector call at a
@@ -18,15 +22,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from probedist.core import BilledOracle, FiniteDistribution, ImplicitDistribution
-from probedist.generators import coordinate_noise_dist, hadamard_code, uniform_random_subset
+from probedist.generators import (
+    coordinate_noise_dist,
+    hadamard_code,
+    shift_dist,
+    uniform_random_subset,
+)
 from probedist.std_testers import GrainedInner, SupportInner
-from probedist.strings import LinearityTester, hadamard_property
+from probedist.strings import ConstantTester, LinearityTester, hadamard_property
 from probedist.testers import (
+    cyclic_shift_tester,
     grained_tester,
     membership_tester,
     pair_equality_tester,
     projection_tester,
     self_correcting_tester,
+    shift_law_tester,
     support_tester,
     uniformity_tester,
 )
@@ -163,6 +174,49 @@ def test_hadamard_trials_are_unchanged_by_a_codeword_xor(case, data):
     k, coeff, source, run = HADAMARD_CASES[case]
     pick = data.draw(st.one_of(st.just(coeff), st.integers(0, (1 << k) - 1)))
     _assert_same_trials(case, [source], _codeword(k, pick), run, data)
+
+
+def _one_zero_rotations(n: int) -> FiniteDistribution:
+    """Rotations of 1^(n-1) 0, uniformly: many restrictions of a sample are
+    all ones, so under the complement many are all zeros."""
+    return shift_dist("1" * (n - 1) + "0")
+
+
+def _mostly_constant(n: int) -> FiniteDistribution:
+    """0^n, rarely 1^n, and rarely a string of alternating bits, so that
+    membership trials both accept and reject, and that the complement moves
+    most samples to 1^n."""
+    rows = np.stack([np.zeros(n), np.ones(n), np.arange(n) % 2]).astype(np.uint8)
+    return FiniteDistribution(rows=rows, weights=np.array([0.9, 0.05, 0.05]))
+
+
+# name -> (sources, tester run on an oracle and a seed), for complement-only
+# invariance.
+COMPLEMENT_CASES = {
+    # 12 of 16 positions on X's side, read through query_block's keys
+    "rotation-law": (
+        [_one_zero_rotations(16)],
+        lambda o, s: shift_law_tester(o, np.full(16, 1 / 16), 0.5, s),
+    ),
+    # 163 candidate rotations of 62 offsets per side and comparison
+    "rotation-family": (
+        [_one_zero_rotations(1024)], lambda o, s: cyclic_shift_tester(o, 0.5, s),
+    ),
+    "membership-constant": (
+        [_mostly_constant(32)], lambda o, s: membership_tester(o, ConstantTester(), 0.5, s),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPLEMENT_CASES))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_trials_are_unchanged_by_the_complement(case, data):
+    """Sources whose complement holds many all-zero restrictions, or mostly
+    0^n strings, so that a rule that reads labels, say one that drops the
+    all-zero key or passes only all-zero probes, decides differently."""
+    sources, run = COMPLEMENT_CASES[case]
+    _assert_same_trials(case, sources, np.ones(sources[0].n, dtype=np.uint8), run, data)
 
 
 def test_xor_source_moves_every_sample():

@@ -1,6 +1,7 @@
 """Tests for string-property testers, self-correction, and the
 distribution-level membership testers built on them."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -196,6 +197,61 @@ def test_corrector_needs_a_power_of_two_before_it_draws():
         HadamardCorrector().correct_batch(oracle, batch, np.arange(1, 13), rng, 3)
     assert rng.bit_generator.state == state
     assert oracle.queries_used == 0
+
+
+class _ProbeLog:
+    """A reader of all-zero strings of length n that keeps every probe."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.probes: list[np.ndarray] = []
+
+    def query_block(self, batch, positions) -> np.ndarray:
+        pos = np.asarray(positions)
+        self.probes.append(pos.copy())
+        return np.zeros((len(batch), pos.shape[-1]), dtype=np.uint8)
+
+
+# sha256 of the little-endian int64 probes of the calls in
+# ``test_probes_stay_in_range_above_two_to_the_32``, as drawn before shifts
+# wider than 32 bits were viewed as int64.  The corrector raised TypeError
+# past k = 32, so it has no earlier probes there.
+_PROBE_DIGESTS = {
+    ("corrector", 31): "027f3ee3799f1cc84b6e3debcb81e4cd5c38592af3265358ca0af7829ea76b18",
+    ("corrector", 32): "b7162af502a13ccba9cc3324ece972c4dbdfb356b2822893faef065bd73a4468",
+    ("linearity", 31): "63cdbe787095f510e3d7689d268565ab0249cf86a6a7b35a6db7513f261dc3fa",
+    ("linearity", 32): "b2ef9e013731763ee59f34d1aec806da03f8c36dc299764a50ab3c7a710b63e7",
+    ("linearity", 33): "5e1499e75a39473c7046ed3ab07264ea48455739c670d6d0d7ffef384b49504e",
+    ("linearity", 40): "ecbb42ba8f5810d0b596dd4244a9ba1b7a208738836c7d9477f614699eb25743",
+    ("linearity", 62): "aebe276f9df8c3d738107f300e4943702e9f55d6eab1025b4d614415309440f3",
+}
+
+
+@pytest.mark.parametrize("k", [31, 32, 33, 40, 62])
+@pytest.mark.parametrize("name", ["corrector", "linearity"])
+def test_probes_stay_in_range_above_two_to_the_32(name, k):
+    """At n = 2^k up to 2^62 the Hadamard batch bodies probe only [1, n],
+    every probe triple or estimate pair XORs to its point, and the probes
+    are those drawn before, where there were any.  Shifts of more than 32
+    bits come as uint64, which numpy cannot XOR with int64 positions."""
+    n = 1 << k
+    reader = _ProbeLog(n)
+    if name == "corrector":
+        a = np.array([1, n // 2 + 1, n])
+        got = HadamardCorrector().correct_batch(reader, np.arange(2), a, new_rng(k), 3)
+        assert got.dtype == np.int8 and np.array_equal(got, np.zeros((2, 3)))
+        (pos,) = reader.probes
+        pair = pos.reshape(2, 3, 3, 2, 2) - 1
+        assert np.array_equal(pair[..., 0] ^ pair[..., 1], np.broadcast_to(
+            (a - 1)[None, :, None, None], (2, 3, 3, 2)))
+    else:
+        assert LinearityTester().test_batch(reader, np.arange(2), 1.0, new_rng(k), 2).all()
+        (pos,) = reader.probes
+        triple = pos.reshape(2, 2, 3, 3) - 1
+        assert np.array_equal(triple[..., 0] ^ triple[..., 1], triple[..., 2])
+    assert 1 <= pos.min() and pos.max() <= n
+    digest = hashlib.sha256(pos.astype("<i8").tobytes()).hexdigest()
+    assert _PROBE_DIGESTS.get((name, k), digest) == digest
 
 
 @pytest.mark.parametrize("seed", range(8))
